@@ -1,8 +1,8 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments <id>... [--fast] [--out DIR] [--injection bernoulli|geometric] [--shards N]
-//! experiments all [--fast] [--out DIR] [--injection bernoulli|geometric] [--shards N]
+//! experiments <id>... [--fast] [--out DIR] [--injection bernoulli|geometric]
+//! experiments all [--fast] [--out DIR] [--injection bernoulli|geometric]
 //! experiments list
 //! ```
 //!
@@ -14,12 +14,8 @@
 //! default to the geometric fast path. Seeded-replay experiments ignore
 //! the flag.
 //!
-//! `--shards N` runs every paper-scenario simulation on the N-shard
-//! row-band parallel engine (bit-identical to serial; the effective
-//! count is clamped to the mesh's row count per run). The flag wins
-//! over the `OBM_SIM_SHARDS` environment variable; worker threads for
-//! the sweep grid itself come from `OBM_WORKERS` (default: all detected
-//! cores).
+//! Worker threads for the sweep grid come from `OBM_WORKERS` (default:
+//! all detected cores).
 //!
 //! Paper ids: table1, table3, table4, fig3, fig4, fig5, fig8, fig9,
 //! fig10, fig11, fig12, validate. Extension ids: ablation, loadcurve,
@@ -51,22 +47,6 @@ fn main() {
             }
         },
     };
-    // An explicit --shards wins over OBM_SIM_SHARDS; publishing it back
-    // to the environment (before any sweep thread exists) lets every
-    // simulation entry point pick it up through `noc_sim::env_shards`.
-    if let Some(v) = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-    {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => std::env::set_var("OBM_SIM_SHARDS", v),
-            _ => {
-                eprintln!("--shards: expected a positive integer, got '{v}'");
-                std::process::exit(2);
-            }
-        }
-    }
     let mut skip_next = false;
     let ids: Vec<&str> = args
         .iter()
@@ -75,7 +55,7 @@ fn main() {
                 skip_next = false;
                 return false;
             }
-            if *a == "--out" || *a == "--injection" || *a == "--shards" {
+            if *a == "--out" || *a == "--injection" {
                 skip_next = true;
                 return false;
             }
@@ -91,9 +71,7 @@ fn main() {
     }
 
     if ids.is_empty() || ids == ["list"] {
-        eprintln!(
-            "usage: experiments <id>...|all [--fast] [--injection bernoulli|geometric] [--shards N]"
-        );
+        eprintln!("usage: experiments <id>...|all [--fast] [--injection bernoulli|geometric]");
         eprintln!("available experiments:");
         for id in experiments::ALL {
             eprintln!("  {id}");

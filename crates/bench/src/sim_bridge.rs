@@ -38,11 +38,6 @@ pub fn trace_traffic_from_mapping(pi: &PaperInstance, mapping: &Mapping) -> Traf
 
 /// The paper's Table 2 simulation config for a mapped instance, measuring
 /// `measure_cycles` cycles after a proportional warm-up.
-///
-/// Honors `OBM_SIM_SHARDS` ([`noc_sim::env_shards`]): sharding is
-/// bit-identical to the serial engine (`tests/shard_determinism.rs`), so
-/// every experiment built on these helpers can be sharded from the
-/// environment without perturbing its pinned goldens.
 fn paper_sim_config(measure_cycles: u64, seed: u64, injection: InjectionProcess) -> SimConfig {
     let mesh = Mesh::square(8);
     let mut cfg = SimConfig::paper_defaults(mesh);
@@ -50,7 +45,6 @@ fn paper_sim_config(measure_cycles: u64, seed: u64, injection: InjectionProcess)
     cfg.measure_cycles = measure_cycles;
     cfg.seed = seed;
     cfg.injection = injection;
-    cfg.shards = noc_sim::env_shards().unwrap_or(1);
     cfg
 }
 
@@ -91,23 +85,6 @@ pub fn simulate_mapping_metered(
     Network::new(cfg, traffic_from_mapping(pi, mapping))
         .expect("paper scenario is valid")
         .with_metrics(metrics)
-        .run()
-}
-
-/// [`simulate_mapping`] with an explicit shard count for the row-band
-/// parallel engine, overriding `OBM_SIM_SHARDS`. Bit-identical to the
-/// serial run for any count — the knob only trades wall-clock.
-pub fn simulate_mapping_sharded(
-    pi: &PaperInstance,
-    mapping: &Mapping,
-    measure_cycles: u64,
-    seed: u64,
-    shards: usize,
-) -> SimReport {
-    let mut cfg = paper_sim_config(measure_cycles, seed, InjectionProcess::BernoulliPerCycle);
-    cfg.shards = shards;
-    Network::new(cfg, traffic_from_mapping(pi, mapping))
-        .expect("paper scenario is valid")
         .run()
 }
 
@@ -296,15 +273,6 @@ mod tests {
             h.max().unwrap(),
         );
         assert!(p50 <= p99 && p99 <= max);
-    }
-
-    #[test]
-    fn sharded_simulation_is_bit_identical() {
-        let pi = paper_instance(PaperConfig::C1);
-        let mapping = SortSelectSwap::default().map(&pi.instance, 0);
-        let serial = simulate_mapping(&pi, &mapping, 5_000, 3);
-        let sharded = simulate_mapping_sharded(&pi, &mapping, 5_000, 3, 4);
-        assert!(serial.semantic_eq(&sharded), "sharding perturbed the run");
     }
 
     #[test]

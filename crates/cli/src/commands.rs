@@ -238,7 +238,6 @@ pub fn simulate_command(
     let mapper = mapper_by_name(algo)?;
     let mapping = mapper.map(&inst, seed);
     let mut cfg = SimConfig::for_layout(&chip).map_err(|e| format!("invalid layout: {e}"))?;
-    cfg.shards = noc_sim::env_shards().unwrap_or(1);
     cfg.warmup_cycles = (cycles / 10).max(100);
     cfg.measure_cycles = cycles;
     cfg.seed = seed ^ 0xC0FFEE;
@@ -296,7 +295,6 @@ pub fn trace_command(
     let mapper = mapper_by_name(algo)?;
     let mesh = spec.mesh();
     let mut cfg = SimConfig::for_layout(&chip).map_err(|e| format!("invalid layout: {e}"))?;
-    cfg.shards = noc_sim::env_shards().unwrap_or(1);
     cfg.warmup_cycles = (cycles / 10).max(100);
     cfg.measure_cycles = cycles;
     cfg.telemetry_window = window;
@@ -396,7 +394,6 @@ pub fn heatmap_command(
     let mapper = mapper_by_name(algo)?;
     let mapping = mapper.map(&inst, seed);
     let mut cfg = SimConfig::for_layout(&chip).map_err(|e| format!("invalid layout: {e}"))?;
-    cfg.shards = noc_sim::env_shards().unwrap_or(1);
     cfg.warmup_cycles = (cycles / 10).max(100);
     cfg.measure_cycles = cycles;
     cfg.seed = seed ^ 0xC0FFEE;
@@ -532,7 +529,6 @@ pub fn chrome_trace_command(
     let mapper = mapper_by_name(algo)?;
     let mapping = mapper.map(&inst, seed);
     let mut cfg = SimConfig::for_layout(&chip).map_err(|e| format!("invalid layout: {e}"))?;
-    cfg.shards = noc_sim::env_shards().unwrap_or(1);
     cfg.warmup_cycles = (cycles / 10).max(100);
     cfg.measure_cycles = cycles;
     cfg.telemetry_window = window;
@@ -630,6 +626,13 @@ pub fn exact_command(spec_text: &str, node_budget: u64) -> Result<String, String
     };
     let r = solver.solve_budgeted(&inst, &obm_core::CancelToken::never(), None);
     let sss = obm_core::evaluate(&inst, &SortSelectSwap::default().map(&inst, 0)).max_apl;
+    // A zero objective (a 1×1 chip keeps every packet local) would make
+    // the ratio 0/0; a heuristic that also scores zero matches it.
+    let gap_pct = if sss == 0.0 && r.objective == 0.0 {
+        0.0
+    } else {
+        (sss / r.objective - 1.0) * 100.0
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "{} after {} nodes: objective {:.6}
@@ -646,7 +649,7 @@ pub fn exact_command(spec_text: &str, node_budget: u64) -> Result<String, String
         "SSS heuristic: {:.6} ({:+.3}% vs {})
 ",
         sss,
-        (sss / r.objective - 1.0) * 100.0,
+        gap_pct,
         if r.proven_optimal {
             "optimum"
         } else {
@@ -784,7 +787,6 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
             .map(|n| n.get())
             .unwrap_or(1) as f64,
     );
-    metrics.gauge_set("sim_shards_env", noc_sim::env_shards().unwrap_or(1) as f64);
     let gauge = |name: &str| metrics.gauge_value(name).unwrap_or(0.0);
 
     let mut out = String::new();
@@ -795,14 +797,11 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
         outcome.termination
     ));
     // Effective parallelism, so solve logs record what actually ran:
-    // configured workers vs detected cores, and the simulator shard knob
-    // (bit-identical to serial; consumed by `obm simulate`/`trace`).
+    // configured workers vs detected cores.
     out.push_str(&format!(
-        "parallelism: {} configured worker(s) on {} detected core(s); \
-         sim shards: {} (OBM_SIM_SHARDS)\n",
+        "parallelism: {} configured worker(s) on {} detected core(s)\n",
         gauge("portfolio_workers") as usize,
         gauge("cli_detected_cores") as usize,
-        gauge("sim_shards_env") as usize,
     ));
     out.push_str(&format!(
         "throughput: {:.0} eval(s)/s aggregate over timed tasks (portfolio_evals_per_sec)\n",
@@ -1373,6 +1372,15 @@ thread 5.0 0.7
         let out = exact_command(spec, 1_000_000).unwrap();
         assert!(out.contains("PROVEN OPTIMAL"), "{out}");
         assert!(out.contains("SSS heuristic"));
+    }
+
+    /// A 1×1 chip has a zero optimum (every packet is local): the SSS gap
+    /// is 0%, not 0/0.
+    #[test]
+    fn exact_on_one_tile_reports_a_zero_gap() {
+        let out = exact_command("mesh 1 1\napp a 1\nthread 1.0 0.1\n", 1_000).unwrap();
+        assert!(!out.contains("NaN"), "{out}");
+        assert!(out.contains("+0.000% vs optimum"), "{out}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Runtime metrics for the mapping engine (DESIGN.md §17).
 //!
-//! Every long-running subsystem — the portfolio race, the sharded
+//! Every long-running subsystem — the portfolio race, the cycle-level
 //! simulator, the online remap controller, the outer placement search —
 //! reports into one [`MetricsRegistry`] through a cheap, cloneable
 //! [`MetricsHandle`]. The handle is `Option`-shaped: a disabled handle

@@ -118,9 +118,6 @@ pub enum ConfigError {
         /// Number of failed links in the rejected layout.
         num_links: usize,
     },
-    /// `shards` is zero (the simulator needs at least one shard; the
-    /// effective count is clamped to the mesh's row count at run time).
-    ZeroShards,
     /// The mesh has more tiles than a flit's 16-bit destination field can
     /// address.
     MeshTooLarge {
@@ -187,7 +184,6 @@ impl fmt::Display for ConfigError {
                      only routes on healthy chips (failed links are analytic-only)"
                 )
             }
-            ConfigError::ZeroShards => write!(f, "shards must be at least 1"),
             ConfigError::MeshTooLarge { num_tiles } => {
                 write!(
                     f,
@@ -254,14 +250,6 @@ pub struct SimConfig {
     /// Telemetry window width in cycles (only read when a run is probed;
     /// see `Network::run_probed`).
     pub telemetry_window: u64,
-    /// Worker shards the mesh is row-band-partitioned across (default 1 =
-    /// single-threaded). Any value produces a bit-identical run — the
-    /// sharded engine exchanges boundary flits in a fixed (shard, link)
-    /// order at each cycle barrier — so the count is a pure throughput
-    /// knob. The effective count is clamped to the mesh's row count (each
-    /// shard owns at least one full row); see
-    /// [`effective_shards`](Self::effective_shards).
-    pub shards: usize,
 }
 
 impl SimConfig {
@@ -286,7 +274,6 @@ impl SimConfig {
             routing: RoutingKind::Xy,
             crossbar_input_limit: true,
             telemetry_window: 1_000,
-            shards: 1,
         }
     }
 
@@ -328,19 +315,6 @@ impl SimConfig {
         self.router_stages + self.link_cycles
     }
 
-    /// Worker shards the run will actually use: `shards` clamped to the
-    /// mesh's row count (row-band partitioning needs at least one row per
-    /// shard). A zero-stage router pipeline also forces one shard — the
-    /// sharded engine's barrier placement relies on freshly injected flits
-    /// not being switch-ready in the same cycle, which holds whenever
-    /// `router_stages ≥ 1`.
-    pub fn effective_shards(&self) -> usize {
-        if self.router_stages == 0 {
-            return 1;
-        }
-        self.shards.clamp(1, self.mesh.rows())
-    }
-
     /// Check every structural invariant the simulator relies on.
     ///
     /// Called by [`SimConfigBuilder::build`] and
@@ -371,9 +345,6 @@ impl SimConfig {
         if self.telemetry_window == 0 {
             return Err(ConfigError::BadWindow);
         }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
         if self.mesh.num_tiles() > u16::MAX as usize + 1 {
             return Err(ConfigError::MeshTooLarge {
                 num_tiles: self.mesh.num_tiles(),
@@ -381,18 +352,6 @@ impl SimConfig {
         }
         Ok(())
     }
-}
-
-/// Shard count requested through the `OBM_SIM_SHARDS` environment
-/// variable, if set to a positive integer. The CLI and experiment
-/// surfaces consult this as their default so sweeps can be sharded
-/// without threading a flag through every entry point; an explicit
-/// `--shards` flag wins over the environment.
-pub fn env_shards() -> Option<usize> {
-    std::env::var("OBM_SIM_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
 }
 
 /// Fluent construction of a [`SimConfig`], validated at
@@ -489,11 +448,6 @@ impl SimConfigBuilder {
     setter!(
         /// Telemetry window width in cycles.
         telemetry_window: u64
-    );
-    setter!(
-        /// Worker shards for the row-band-partitioned engine (bit-identical
-        /// for any count; clamped to the mesh's row count at run time).
-        shards: usize
     );
 
     /// Validate and produce the configuration.
@@ -647,25 +601,6 @@ mod tests {
             b().telemetry_window(0).build().unwrap_err(),
             ConfigError::BadWindow
         );
-        assert_eq!(b().shards(0).build().unwrap_err(), ConfigError::ZeroShards);
-    }
-
-    #[test]
-    fn shards_default_and_clamp() {
-        let cfg = SimConfig::paper_defaults(Mesh::square(8));
-        assert_eq!(cfg.shards, 1);
-        assert_eq!(cfg.effective_shards(), 1);
-        let cfg = SimConfig::builder(Mesh::square(4))
-            .shards(16)
-            .build()
-            .expect("valid");
-        // Row-band partitioning: at most one shard per row.
-        assert_eq!(cfg.effective_shards(), 4);
-        // A zero-stage pipeline forces the serial engine.
-        let mut cfg = SimConfig::paper_defaults(Mesh::square(4));
-        cfg.shards = 4;
-        cfg.router_stages = 0;
-        assert_eq!(cfg.effective_shards(), 1);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!   with at least one buffered flit and NIs with pending traffic; idle
 //!   tiles cost nothing. Invariant: a router's bit is set *iff*
 //!   `buffered > 0`, maintained at every flit push/pop (see
-//!   `buffer_flit_at` and the pop sites in `step_router`).
+//!   `inject_tile`, `apply_transfers` and the router pass in `cycle`).
 //! - **Occupancy masks.** Each router carries a `u64` bitmask with one bit
 //!   per `(input port, VC)` arbitration slot, set *iff* that input VC has
 //!   a buffered flit. Switch allocation iterates set bits in round-robin
@@ -97,10 +97,11 @@
 //!
 //! [`WindowRecord`]: noc_telemetry::WindowRecord
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod network;
 pub mod packet;
-mod shard;
 pub mod stats;
 pub mod traffic;
 
@@ -108,9 +109,7 @@ pub mod traffic;
 /// sinks without naming a second dependency.
 pub use noc_telemetry as telemetry;
 
-pub use config::{
-    env_shards, ConfigError, InjectionProcess, RoutingKind, SimConfig, SimConfigBuilder,
-};
+pub use config::{ConfigError, InjectionProcess, RoutingKind, SimConfig, SimConfigBuilder};
 pub use network::{Network, SourceCounters, SwapController};
 pub use stats::{LatencyAccum, SimReport};
 pub use traffic::{Schedule, SourceSpec, TrafficSpec};

@@ -68,6 +68,10 @@ impl Mapper for HybridSssSa {
         // The SSS seed pass polls between its own passes; the refinement
         // loop below polls every CANCEL_POLL_MASK+1 moves.
         let init = self.sss.map_cancellable(inst, seed, token, probe)?;
+        // With fewer than two tiles there is no swap to try.
+        if inst.num_tiles() < 2 {
+            return Some(init);
+        }
         let init_val = evaluate(inst, &init).max_apl;
         let mut ev = IncrementalEvaluator::new(inst, init.clone());
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5555_aaaa);

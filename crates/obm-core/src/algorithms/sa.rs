@@ -158,6 +158,10 @@ impl Mapper for SimulatedAnnealing {
         }
         let mut rng = SmallRng::seed_from_u64(seed);
         let init = RandomMapper::draw(inst, &mut rng);
+        // With fewer than two tiles there is no swap to try.
+        if inst.num_tiles() < 2 {
+            return Some(init);
+        }
         let mut ev = IncrementalEvaluator::new(inst, init);
         let mut cur = ev.max_apl();
         let mut best = cur;

@@ -34,11 +34,7 @@
 # When the run contains load_48 (the saturated-load router hot loop), a
 # derived "speedup/load_48_vs_pr8" key records the single-thread gain
 # over the PR 8 baseline median (override the baseline with
-# LOAD48_PR8_NS). When the run contains c1_8x8_10k_cycles and its
-# _sharded4 twin, a derived "shard_delta_pct/c1_8x8_10k_cycles" key
-# records the 4-shard engine's wall-clock delta as a percentage of the
-# serial median (negative = sharding is faster; on a 1-core host this
-# prices the barrier overhead instead). When the run contains
+# LOAD48_PR8_NS). When the run contains
 # c1_8x8_10k_cycles and its _metrics twin, a derived
 # "metrics_delta_pct/enabled" key prices the enabled metrics registry
 # against the unprobed median, and "metrics_delta_pct/disabled" holds
@@ -46,7 +42,7 @@
 # C1_PR9_NS) — the disabled path is never-taken branches and must stay
 # within noise (DESIGN.md §17 budgets: disabled <= 1%, enabled <= 10%).
 # Every snapshot also records the host's core count under "meta/nproc"
-# so shard/pool numbers can be read in context.
+# so pool numbers can be read in context.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -110,10 +106,6 @@ awk -v nproc="$(nproc 2>/dev/null || echo 1)" \
     if (base > 0 && c1_pr9 > 0)
       printf ",\n  \"metrics_delta_pct/disabled\": %.2f",
         100.0 * (base - c1_pr9) / c1_pr9
-    sharded = medians["noc_sim/c1_8x8_10k_cycles_sharded4"]
-    if (base > 0 && sharded > 0)
-      printf ",\n  \"shard_delta_pct/c1_8x8_10k_cycles\": %.2f",
-        100.0 * (sharded - base) / base
     corner = medians["placement_outer_4x4/corner_maxapl_millicycles"]
     best = medians["placement_outer_4x4/best_maxapl_millicycles"]
     if (corner > 0 && best > 0)

@@ -14,12 +14,10 @@
 #                         online-remap controller's pinned decision
 #                         sequence, the placement search's pinned
 #                         exhaustive win + TM-vs-simulator agreement,
-#                         and the sharded-engine suite (any shard
-#                         count bit-identical to serial, forced to
-#                         verify 4 shards via OBM_SIM_SHARDS),
-#                         all in release mode (optimizations change
-#                         f64 codegen timing, never the pinned bit
-#                         patterns)
+#                         and the degenerate-shape suite (every solver
+#                         terminates on a 1×1 chip), all in release
+#                         mode (optimizations change f64 codegen
+#                         timing, never the pinned bit patterns)
 #   6. CLI smoke        — the observability subcommands (`experiments
 #                         heatmap --json`, `experiments trace --chrome`)
 #                         run on a generated C1 instance; the emitted
@@ -29,8 +27,8 @@
 #                         byte-identical across two same-seed runs;
 #                         the metrics surface (`--metrics` on simulate/
 #                         solve + `obm status`) is smoke-tested the same
-#                         way: family grep on the Prometheus text and
-#                         byte-determinism across two same-seed runs
+#                         way: family and span grep on the Prometheus
+#                         text and byte-determinism across two same-seed runs
 #                         under OBM_METRICS_CLOCK=logical
 #   6b. bench gate       — `bench_compare.sh BENCH_PR9.json
 #                         BENCH_PR10.json` guards the simulator hot
@@ -53,9 +51,7 @@
 #                         a mid-run controller must never abort a
 #                         simulation), the ChipLayout/placement
 #                         constructors and the outer placement search
-#                         (typed PlacementError), the shard worker
-#                         pool (a dead worker must surface as a
-#                         closed channel, never an abort), or the
+#                         (typed PlacementError), or the
 #                         noc-metrics registry (a metrics write must
 #                         never abort the run it observes — poisoned
 #                         locks are recovered, snapshot parsing
@@ -113,17 +109,11 @@ echo "==> simulator determinism suite (release)"
 # codegen too.
 cargo test -q --release --test sim_determinism
 
-echo "==> shard determinism suite (release, OBM_SIM_SHARDS=4)"
-# The row-band parallel engine's contract — bit-identical SimReport and
-# telemetry for any shard count (DESIGN.md §16) — pinned on the 8×8 C1
-# scenario, torus/YX, geometric fast-forward, the controlled-run path
-# and a randomized proptest. OBM_SIM_SHARDS=4 forces the suite to
-# verify up to 4 shards even on a 1-core host, and routes every
-# env-consulting entry point through the sharded engine.
-OBM_SIM_SHARDS=4 cargo test -q --release --test shard_determinism
-# The bridge helpers every experiment shares must honor the same env
-# knob without perturbing their goldens.
-OBM_SIM_SHARDS=4 cargo test -q --release -p obm-bench sim_bridge
+echo "==> degenerate-shape suite (release)"
+# SA, the SSS+SA hybrid and a deadline-bounded portfolio must return on
+# a one-tile chip, where no swap exists; each solve runs under a
+# watchdog so a hang fails instead of stalling CI.
+cargo test -q --release --test degenerate
 
 echo "==> online-remap determinism suite (release)"
 # The closed-loop controller's decision sequence (remap cycles + final
@@ -195,10 +185,12 @@ OBM_METRICS_CLOCK=logical "$obm" simulate "$smokedir/c1.spec" --cycles 2000 \
 cmp -s "$smokedir/sim.prom" "$smokedir/sim2.prom" \
     || { echo "metrics snapshot differs across two same-seed logical-clock runs"; exit 1; }
 for family in sim_runs_total sim_cycles_total sim_injected_packets_total \
-    sim_delivered_packets_total sim_link_flit_traversals_total sim_shards; do
+    sim_delivered_packets_total sim_link_flit_traversals_total; do
     grep -q "^$family " "$smokedir/sim.prom" \
         || { echo "metrics family $family missing from simulate snapshot"; exit 1; }
 done
+grep -q 'span="sim/serial/cycle"' "$smokedir/sim.prom" \
+    || { echo "span sim/serial/cycle missing from simulate snapshot"; exit 1; }
 OBM_METRICS_CLOCK=logical "$obm" solve "$smokedir/c1.spec" --algos sss,greedy \
     --seeds 0 --metrics "$smokedir/solve.prom" >/dev/null
 for family in portfolio_solves_total portfolio_tasks_total \
@@ -232,7 +224,7 @@ echo "==> panic gate: error-typed constructor and solver paths"
 # occurrence outside the #[cfg(test)] module and doc comments
 # (debug_assert! is fine). Files without a test module are scanned whole.
 for f in crates/noc-sim/src/config.rs crates/noc-sim/src/network.rs \
-    crates/noc-sim/src/traffic.rs crates/noc-sim/src/shard.rs \
+    crates/noc-sim/src/traffic.rs \
     crates/noc-telemetry/src/histogram.rs crates/noc-telemetry/src/heatmap.rs \
     crates/portfolio/src/*.rs crates/cli/src/spec.rs \
     crates/obm-core/src/batch.rs \

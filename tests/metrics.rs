@@ -5,7 +5,7 @@
 //! tests pin the PR 2 purity contract for it:
 //!
 //! 1. a seeded simulation produces a bit-identical `SimReport` with
-//!    metrics enabled or disabled, across random loads and shard counts,
+//!    metrics enabled or disabled, across random loads,
 //!    and the exported counters reconcile exactly with `NetworkStats`;
 //! 2. a solver-portfolio race returns the identical mapping/objective
 //!    with metrics on or off, and the exported counters reconcile with
@@ -19,12 +19,11 @@ use obm::prelude::*;
 use obm::sim::InjectionProcess;
 use proptest::prelude::*;
 
-/// A 4×4 scenario parameterized on load, injection process and shard
-/// count — the randomized surface for the purity properties.
-fn network(seed: u64, cache_rate: f64, mem_rate: f64, shards: usize, geometric: bool) -> Network {
+/// A 4×4 scenario parameterized on load and injection process — the
+/// randomized surface for the purity properties.
+fn network(seed: u64, cache_rate: f64, mem_rate: f64, geometric: bool) -> Network {
     let mesh = Mesh::square(4);
     let mut cfg = SimConfig::paper_defaults(mesh);
-    cfg.shards = shards;
     cfg.warmup_cycles = 100;
     cfg.measure_cycles = 1_500;
     cfg.max_drain_cycles = 200_000;
@@ -80,20 +79,19 @@ proptest! {
 
     /// Purity, simulator side: metrics-on and metrics-off runs of the
     /// same seeded scenario are bit-identical (wall clock excluded), for
-    /// random loads, both injection processes and serial/sharded
-    /// engines — and the registry's counters reconcile exactly with the
-    /// `NetworkStats` the run returned.
+    /// random loads and both injection processes — and the registry's
+    /// counters reconcile exactly with the `NetworkStats` the run
+    /// returned.
     #[test]
     fn sim_report_is_bit_identical_with_metrics_on(
         cache_rate in 0.001f64..0.04,
         mem_rate in 0.0f64..0.01,
         seed in any::<u64>(),
-        shards in 1usize..=2,
         geometric in any::<bool>(),
     ) {
-        let off = network(seed, cache_rate, mem_rate, shards, geometric).run();
+        let off = network(seed, cache_rate, mem_rate, geometric).run();
         let registry = MetricsRegistry::new();
-        let on = network(seed, cache_rate, mem_rate, shards, geometric)
+        let on = network(seed, cache_rate, mem_rate, geometric)
             .with_metrics(registry.handle())
             .run();
         prop_assert!(off.semantic_eq(&on), "metrics perturbed the simulation");
@@ -116,10 +114,6 @@ proptest! {
             on.network.link_flit_traversals
         );
         prop_assert_eq!(counter("sim_skipped_cycles_total"), on.network.skipped_cycles);
-        prop_assert_eq!(
-            h.gauge_value("sim_shards").map(|v| v as usize),
-            Some(shards)
-        );
     }
 }
 
@@ -168,7 +162,7 @@ proptest! {
 /// by the round-trip and byte-determinism tests below.
 fn full_snapshot() -> MetricsSnapshot {
     let registry = MetricsRegistry::with_clock(ClockMode::Logical);
-    network(42, 0.02, 0.004, 2, false)
+    network(42, 0.02, 0.004, false)
         .with_metrics(registry.handle())
         .run();
     let rates: Vec<f64> = (1..=16).map(|i| i as f64 * 0.5).collect();
@@ -207,8 +201,8 @@ fn snapshots_round_trip_through_both_formats() {
         assert!(json.contains(name), "missing {name} in json lines");
     }
     assert!(
-        snap.spans.keys().any(|k| k.starts_with("sim/shard/")),
-        "shard-pool spans missing"
+        snap.spans.contains_key("sim/serial/cycle"),
+        "simulator cycle span missing"
     );
     assert!(
         snap.spans.keys().any(|k| k.starts_with("portfolio/task/")),

@@ -16,11 +16,12 @@
 //!
 //! [`SimReport::semantic_eq`]: obm::sim::SimReport::semantic_eq
 
-use obm::model::{MemoryControllers, Mesh, TileId};
+use obm::model::{ChipLayout, MemoryControllers, Mesh, TileId, Topology};
 use obm::sim::{
-    InjectionProcess, Network, Schedule, SimConfig, SimReport, SourceSpec, TrafficSpec,
+    ConfigError, InjectionProcess, Network, RoutingKind, Schedule, SimConfig, SimReport,
+    SourceCounters, SourceSpec, SwapController, TrafficSpec,
 };
-use obm::telemetry::{NoopSink, Phase, RingSink};
+use obm::telemetry::{NoopSink, Phase, RingSink, WindowRecord};
 use proptest::prelude::*;
 
 /// The pinned scenario's network: 4×4 mesh, one far memory controller,
@@ -701,4 +702,164 @@ proptest! {
         // count into `injected`).
         prop_assert!(r.network.arrival_draws >= r.injected);
     }
+}
+
+/// FNV-1a over a value's `Debug` rendering: a compact, stable digest for
+/// pinning whole records (f64 fields print as shortest round-trip
+/// decimals, so equal digests mean bit-equal values).
+fn debug_digest<T: std::fmt::Debug + ?Sized>(value: &T) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Digest of a report's deterministic surface: every field except the
+/// wall-clock `network.wall_nanos`.
+fn report_digest(report: &SimReport) -> u64 {
+    let mut r = report.clone();
+    r.network.wall_nanos = 0;
+    debug_digest(&r)
+}
+
+/// Digest of every deterministic telemetry stream a sink captured:
+/// windows, heatmaps, flow summaries and per-packet records.
+fn telemetry_digest(sink: &RingSink) -> u64 {
+    let windows: Vec<_> = sink.windows().collect();
+    let heatmaps: Vec<_> = sink.heatmaps().collect();
+    let flows: Vec<_> = sink.flow_summaries().collect();
+    let packets: Vec<_> = sink.packets().collect();
+    debug_digest(&(windows, heatmaps, flows, packets))
+}
+
+/// 8×8 torus with YX routing at C1 rates (7.0 cache / 0.9 memory packets
+/// per kilocycle per tile), seed 99: wrap-around links and the
+/// column-first router on one scenario.
+fn torus_yx_8x8_network() -> Network {
+    let mesh = Mesh::square(8);
+    let mut cfg = SimConfig::paper_defaults(mesh);
+    cfg.topology = Topology::Torus;
+    cfg.routing = RoutingKind::Yx;
+    cfg.warmup_cycles = 200;
+    cfg.measure_cycles = 2_000;
+    cfg.max_drain_cycles = 20_000;
+    cfg.seed = 99;
+    let traffic = TrafficSpec::uniform(
+        &mesh,
+        Schedule::per_kilocycle(7.0),
+        Schedule::per_kilocycle(0.9),
+    );
+    Network::new(cfg, traffic).expect("valid config")
+}
+
+/// Golden regression for the torus + YX probed run: the report and every
+/// telemetry stream (windows, heatmap, flow summary, packet records).
+#[test]
+fn pinned_golden_torus_yx_probed_run() {
+    let mut sink = RingSink::new(65_536).with_packets();
+    let r = torus_yx_8x8_network().run_probed(&mut sink);
+    assert_eq!(sink.dropped(), 0);
+    assert!(r.fully_drained);
+    assert_eq!(r.injected, 1_000);
+    assert_eq!(r.delivered, 1_000);
+    assert_eq!(r.network.link_flit_traversals, 13_574);
+    assert_eq!(r.network.peak_buffered_flits, 56);
+    assert_eq!(r.network.cycles_run, 2_225);
+    assert_eq!(r.cache.total_latency, 17_309.0);
+    assert_eq!(r.memory.total_latency, 1_613.0);
+    assert_eq!(report_digest(&r), 0x2060_1709_eef5_9104);
+    assert_eq!(telemetry_digest(&sink), 0xf6e1_203e_2362_d794);
+}
+
+/// The probe observes but never perturbs on the torus/YX path either: the
+/// plain run's report equals the probed run's bit-for-bit.
+#[test]
+fn torus_yx_probed_run_matches_unprobed() {
+    let plain = torus_yx_8x8_network().run();
+    let mut sink = RingSink::new(65_536).with_packets();
+    let probed = torus_yx_8x8_network().run_probed(&mut sink);
+    assert!(plain.semantic_eq(&probed), "probe perturbed the torus run");
+    assert_eq!(plain.per_source, probed.per_source);
+    assert_eq!(plain.network.skipped_cycles, probed.network.skipped_cycles);
+}
+
+/// A controller that swaps the first two sources once, at the second
+/// flushed window.
+struct SwapOnce {
+    windows_seen: usize,
+    tiles: Vec<TileId>,
+}
+
+impl SwapController for SwapOnce {
+    fn on_window(
+        &mut self,
+        _record: &WindowRecord,
+        _per_source: &[SourceCounters],
+    ) -> Option<Vec<TileId>> {
+        self.windows_seen += 1;
+        if self.windows_seen == 2 {
+            let mut tiles = self.tiles.clone();
+            tiles.swap(0, 1);
+            Some(tiles)
+        } else {
+            None
+        }
+    }
+}
+
+/// Golden regression for the controlled (mid-run remap) path on the 8×8
+/// C1 scenario, seed 42: window tee, per-source accumulators and a
+/// retarget at a window boundary, pinned on the report and telemetry.
+#[test]
+fn pinned_golden_controlled_run() {
+    let mesh = Mesh::square(8);
+    let mut cfg = SimConfig::paper_defaults(mesh);
+    cfg.warmup_cycles = 500;
+    cfg.measure_cycles = 3_000;
+    cfg.max_drain_cycles = 20_000;
+    cfg.seed = 42;
+    let traffic = TrafficSpec::uniform(
+        &mesh,
+        Schedule::per_kilocycle(7.0),
+        Schedule::per_kilocycle(0.9),
+    );
+    let mut sink = RingSink::new(65_536).with_packets();
+    let mut ctrl = SwapOnce {
+        windows_seen: 0,
+        tiles: mesh.tiles().collect(),
+    };
+    let r = Network::new(cfg, traffic)
+        .expect("valid config")
+        .run_controlled(&mut sink, &mut ctrl)
+        .expect("controlled run");
+    assert_eq!(sink.dropped(), 0);
+    assert!(ctrl.windows_seen >= 2, "the swap must have been applied");
+    assert!(r.fully_drained);
+    assert_eq!(r.injected, 1_488);
+    assert_eq!(r.delivered, 1_488);
+    assert_eq!(r.network.link_flit_traversals, 24_442);
+    assert_eq!(r.network.cycles_run, 3_534);
+    assert_eq!(r.cache.total_latency, 31_065.0);
+    assert_eq!(r.memory.total_latency, 2_651.0);
+    assert_eq!(report_digest(&r), 0x3667_3509_5350_f4bc);
+    assert_eq!(telemetry_digest(&sink), 0xc897_6aa8_eda3_da9a);
+}
+
+/// A layout with failed links is rejected before any simulation: the
+/// dimension-order router cannot detour around them.
+#[test]
+fn failed_link_layout_is_rejected_by_the_simulator() {
+    let mesh = Mesh::square(4);
+    let broken = ChipLayout::try_new(
+        mesh,
+        Topology::Mesh,
+        MemoryControllers::try_custom(&mesh, vec![TileId(15)]).expect("valid placement"),
+        vec![(TileId(0), TileId(1))],
+    )
+    .expect("valid layout");
+    assert_eq!(
+        SimConfig::for_layout(&broken).err(),
+        Some(ConfigError::FailedLinksUnsupported { num_links: 1 })
+    );
 }
