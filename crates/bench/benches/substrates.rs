@@ -1,5 +1,6 @@
-//! Substrate benches: the Hungarian solver's `O(n³)` scaling, incremental
-//! vs from-scratch APL evaluation, trace generation, and simulator
+//! Substrate benches: the Hungarian solver's `O(n³)` scaling (random and
+//! Eq. (13)-structured matrices), SSS at three mesh sizes, incremental vs
+//! from-scratch APL evaluation, trace generation, and simulator
 //! throughput.
 
 use assignment::CostMatrix;
@@ -8,10 +9,33 @@ use cmp_cache::system::{CacheAppSpec, CmpSystem, SystemConfig, ThreadSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use noc_model::TileId;
 use obm_bench::harness::paper_instance;
-use obm_core::{evaluate, IncrementalEvaluator, Mapping};
+use obm_core::algorithms::{Mapper, SortSelectSwap};
+use obm_core::{evaluate, IncrementalEvaluator, Mapping, ObmInstance};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use workload::PaperConfig;
+use workload::{PaperConfig, WorkloadBuilder};
+
+/// A full `side×side` chip: `max(4, side²/64)` applications sharing every
+/// tile, at C2's Table 3 rates on the paper's latency parameters (the
+/// perfbench `scale32` recipe at `side = 32`).
+fn filled_instance(side: usize) -> ObmInstance {
+    let tiles = side * side;
+    let apps = (tiles / 64).max(4);
+    let (cache, mem) = PaperConfig::C2.targets();
+    let profiles = workload::config::round_robin_profiles(apps);
+    let (work, _) = WorkloadBuilder::custom(profiles, tiles / apps, cache, mem)
+        .epochs(2_000)
+        .seed(side as u64)
+        .build();
+    let mesh = noc_model::Mesh::square(side);
+    let (c, m) = work.rate_vectors();
+    ObmInstance::new(
+        noc_model::TileLatencies::paper_default(&mesh),
+        work.boundaries(),
+        c,
+        m,
+    )
+}
 
 fn hungarian_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("hungarian");
@@ -26,6 +50,28 @@ fn hungarian_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &m, |b, m| {
             b.iter(|| m.solve())
         });
+    }
+    // Global's actual input: the Eq. (13) matrix of a filled chip, rank
+    // two with many equal tile latencies, so reduced-cost ties abound.
+    for side in [16usize, 32] {
+        let inst = filled_instance(side);
+        let m = inst.eval_tables().cost_matrix();
+        group.bench_with_input(BenchmarkId::new("eq13", side * side), m, |b, m| {
+            b.iter(|| m.solve())
+        });
+    }
+    group.finish();
+}
+
+fn sss_scaling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sss");
+    for side in [8usize, 16, 32] {
+        let inst = filled_instance(side);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{side}x{side}")),
+            &inst,
+            |b, inst| b.iter(|| SortSelectSwap::default().map(inst, 0)),
+        );
     }
     group.finish();
 }
@@ -88,7 +134,7 @@ fn cache_hierarchy(c: &mut Criterion) {
 }
 
 fn exact_solver(c: &mut Criterion) {
-    use obm_core::algorithms::{BranchAndBound, Mapper};
+    use obm_core::algorithms::BranchAndBound;
     let pi = paper_instance(PaperConfig::C2);
     // full 8×8 proof is out of reach; bench the 4×4 proof.
     let mesh = noc_model::Mesh::square(4);
@@ -115,6 +161,7 @@ fn exact_solver(c: &mut Criterion) {
 criterion_group!(
     benches,
     hungarian_scaling,
+    sss_scaling,
     evaluation,
     trace_generation,
     cache_hierarchy,

@@ -12,7 +12,6 @@
 
 use crate::algorithms::Mapper;
 use crate::problem::{Mapping, ObmInstance};
-use assignment::CostMatrix;
 use noc_model::TileId;
 
 /// Globally-optimal overall-latency mapper.
@@ -25,13 +24,9 @@ impl Mapper for Global {
     }
 
     fn map(&self, inst: &ObmInstance, _seed: u64) -> Mapping {
-        // The Hungarian input is exactly the instance's precomputed flat
-        // cost matrix — read it instead of recomputing Eq. (13) N×N times.
-        let tables = inst.eval_tables();
-        let costs = CostMatrix::from_fn(inst.num_threads(), inst.num_tiles(), |j, k| {
-            tables.cost(j, k)
-        });
-        let sol = costs.solve();
+        // The Hungarian input is exactly the instance's cached Eq. (13)
+        // matrix: solve it in place, no N×K copy.
+        let sol = inst.eval_tables().cost_matrix().solve();
         Mapping::new(sol.row_to_col.iter().map(|&k| TileId(k)).collect())
     }
 }
@@ -94,6 +89,46 @@ mod tests {
     fn global_is_deterministic() {
         let inst = paper_style_instance(3);
         assert_eq!(Global.map(&inst, 0), Global.map(&inst, 99));
+    }
+
+    #[test]
+    fn golden_global_16x16() {
+        // 256 threads in four 64-thread apps with rate scales spanning
+        // 18×, on the paper's Table 2 latencies: pinned before the solver
+        // moved to a compact column list, so any drift in its search
+        // order or tie-breaking shows here.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mesh = Mesh::square(16);
+        let mcs = MemoryControllers::corners(&mesh);
+        let tiles = TileLatencies::compute(&mesh, &mcs, LatencyParams::paper_table2());
+        let mut rng = SmallRng::seed_from_u64(16);
+        let mut c = Vec::with_capacity(256);
+        for scale in [0.5, 1.5, 4.0, 9.0] {
+            for _ in 0..64 {
+                c.push(scale * rng.gen_range(0.2..2.0));
+            }
+        }
+        let m: Vec<f64> = c.iter().map(|x| x * 0.15).collect();
+        let inst = ObmInstance::new(tiles, vec![0, 64, 128, 192, 256], c, m);
+        let mapping = Global.map(&inst, 0);
+        // FNV-1a over the tile indices.
+        let hash = mapping
+            .as_slice()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
+                (h ^ t.index() as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let r = evaluate(&inst, &mapping);
+        assert_eq!(
+            (hash, r.g_apl.to_bits(), r.max_apl.to_bits()),
+            (0xe7ed_6b30_e61f_4aa5, 0x4043_fde0_4b99_7951, 0x4047_f237_fa0b_2616),
+            "Global 16x16 drifted: hash 0x{hash:016x}, g-APL {} (0x{:016x}), max-APL {} (0x{:016x})",
+            r.g_apl,
+            r.g_apl.to_bits(),
+            r.max_apl,
+            r.max_apl.to_bits()
+        );
     }
 
     #[test]

@@ -133,6 +133,7 @@ impl Mapper for SortSelectSwap {
             let perms = permutations(self.window);
             let max_step = self.max_step.unwrap_or(n / self.window).max(1);
             let mut window_tiles = vec![TileId(0); self.window];
+            let mut scores = Vec::with_capacity(perms.len());
             for s in 1..=max_step {
                 let span = (self.window - 1) * s;
                 if span >= n {
@@ -146,7 +147,8 @@ impl Mapper for SortSelectSwap {
                     for (t, wt) in window_tiles.iter_mut().enumerate() {
                         *wt = sorted[start + t * s];
                     }
-                    let accepted = best_window_permutation(&mut ev, &window_tiles, &perms);
+                    let accepted =
+                        best_window_permutation(&mut ev, &window_tiles, &perms, &mut scores);
                     if enabled {
                         if let Some((objective, delta)) = accepted {
                             probe.on_solver_event(&SolverEvent::SwapAccepted {
@@ -229,38 +231,25 @@ fn remove_indices(v: &mut Vec<TileId>, indices: &[usize]) {
 /// Try every permutation of the window occupants; keep the best (the
 /// identity wins ties, so the search never churns). Returns
 /// `Some((new objective, objective delta))` when a non-identity
-/// permutation was kept, `None` otherwise.
+/// permutation was kept, `None` otherwise. `scores` is scratch space,
+/// reused across windows.
 fn best_window_permutation(
     ev: &mut IncrementalEvaluator<'_>,
     tiles: &[TileId],
     perms: &[Vec<usize>],
+    scores: &mut Vec<f64>,
 ) -> Option<(f64, f64)> {
-    let start_val = ev.max_apl();
+    let start_val = ev.score_window_permutations(tiles, perms, scores);
     let mut best_val = start_val;
-    let mut best_perm: Option<&[usize]> = None;
-    for perm in perms.iter().skip(1) {
-        // skip the identity (index 0)
-        ev.apply_window_permutation(tiles, perm);
-        let val = ev.max_apl();
+    let mut best_perm = None;
+    for (k, &val) in scores.iter().enumerate() {
         if val + 1e-12 < best_val {
             best_val = val;
-            best_perm = Some(perm);
+            best_perm = Some(&perms[k + 1]);
         }
-        // revert
-        ev.apply_window_permutation(tiles, &invert(perm));
     }
-    let perm = best_perm?;
-    ev.apply_window_permutation(tiles, perm);
+    ev.apply_window_permutation(tiles, best_perm?);
     Some((best_val, best_val - start_val))
-}
-
-/// Inverse permutation `q` with `p[q[s]] = s`.
-fn invert(p: &[usize]) -> Vec<usize> {
-    let mut q = vec![0; p.len()];
-    for (x, &px) in p.iter().enumerate() {
-        q[px] = x;
-    }
-    q
 }
 
 /// All permutations of `0..w` with the identity first. The paper's window
@@ -297,10 +286,11 @@ fn heap_permute(items: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{Global, Mapper};
+    use crate::algorithms::{Global, Mapper, RandomMapper};
     use crate::eval::evaluate;
     use noc_model::{LatencyParams, MemoryControllers, Mesh, TileLatencies};
     use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     fn fig5_instance() -> ObmInstance {
@@ -325,6 +315,130 @@ mod tests {
         }
         let m: Vec<f64> = c.iter().map(|x| x * 0.15).collect();
         ObmInstance::new(tiles, vec![0, 16, 32, 48, 64], c, m)
+    }
+
+    /// Inverse permutation `q` with `p[q[s]] = s`.
+    fn invert(p: &[usize]) -> Vec<usize> {
+        let mut q = vec![0; p.len()];
+        for (x, &px) in p.iter().enumerate() {
+            q[px] = x;
+        }
+        q
+    }
+
+    /// The window search as it was written before the scoring kernel:
+    /// apply each permutation, read `max_apl`, revert by the inverse
+    /// permutation. The differential oracle for `best_window_permutation`.
+    fn best_window_permutation_oracle(
+        ev: &mut IncrementalEvaluator<'_>,
+        tiles: &[TileId],
+        perms: &[Vec<usize>],
+    ) -> Option<(f64, f64)> {
+        let start_val = ev.max_apl();
+        let mut best_val = start_val;
+        let mut best_perm: Option<&[usize]> = None;
+        for perm in perms.iter().skip(1) {
+            ev.apply_window_permutation(tiles, perm);
+            let val = ev.max_apl();
+            if val + 1e-12 < best_val {
+                best_val = val;
+                best_perm = Some(perm);
+            }
+            ev.apply_window_permutation(tiles, &invert(perm));
+        }
+        let perm = best_perm?;
+        ev.apply_window_permutation(tiles, perm);
+        Some((best_val, best_val - start_val))
+    }
+
+    /// A random instance on an `n×n` mesh with `holes` empty tiles,
+    /// `apps` applications of uneven size and (optionally) non-unit
+    /// priority weights.
+    fn random_holey_instance(
+        rng: &mut SmallRng,
+        n: usize,
+        holes: usize,
+        apps: usize,
+    ) -> ObmInstance {
+        let mesh = Mesh::square(n);
+        let mcs = MemoryControllers::corners(&mesh);
+        let tiles = TileLatencies::compute(&mesh, &mcs, LatencyParams::paper_table2());
+        let threads = n * n - holes;
+        let mut cuts: Vec<usize> = (1..threads).collect();
+        cuts.shuffle(rng);
+        cuts.truncate(apps - 1);
+        cuts.sort_unstable();
+        let mut bounds = vec![0];
+        bounds.extend(cuts);
+        bounds.push(threads);
+        let c: Vec<f64> = (0..threads).map(|_| rng.gen_range(0.05..6.0)).collect();
+        let m: Vec<f64> = c.iter().map(|x| x * rng.gen_range(0.0..0.4)).collect();
+        let inst = ObmInstance::new(tiles, bounds, c, m);
+        if rng.gen_bool(0.5) {
+            let weights = (0..apps).map(|_| rng.gen_range(0.5..3.0)).collect();
+            inst.with_app_weights(weights)
+        } else {
+            inst
+        }
+    }
+
+    #[test]
+    fn window_search_matches_apply_revert_oracle() {
+        // Run SSS's full swap schedule twice in lockstep from the same
+        // random start, once through the scoring kernel and once through
+        // the apply/evaluate/revert oracle: every window must keep the
+        // same permutation and leave the same numerator bits and edits.
+        let mut rng = SmallRng::seed_from_u64(0x5555);
+        let mut kept = 0usize;
+        for case in 0..40 {
+            let n = rng.gen_range(3..=6);
+            let holes = rng.gen_range(0..=n);
+            let apps = rng.gen_range(1..=4);
+            let inst = random_holey_instance(&mut rng, n, holes, apps);
+            let window = 2 + case % 5;
+            let start = RandomMapper::draw(&inst, &mut rng);
+            let mut fast = IncrementalEvaluator::new(&inst, start.clone());
+            let mut slow = IncrementalEvaluator::new(&inst, start);
+            let sorted = sorted_tiles(&inst);
+            let perms = permutations(window);
+            let mut scores = Vec::new();
+            let mut tiles = vec![TileId(0); window];
+            for s in 1..=(n * n / window).max(1) {
+                let span = (window - 1) * s;
+                if span >= sorted.len() {
+                    break;
+                }
+                for first in 0..(sorted.len() - span) {
+                    for (t, wt) in tiles.iter_mut().enumerate() {
+                        *wt = sorted[first + t * s];
+                    }
+                    let got = best_window_permutation(&mut fast, &tiles, &perms, &mut scores);
+                    let want = best_window_permutation_oracle(&mut slow, &tiles, &perms);
+                    let bits = |r: Option<(f64, f64)>| r.map(|(v, d)| (v.to_bits(), d.to_bits()));
+                    let ctx = format!("case {case} (w={window}, s={s}, start={first})");
+                    assert_eq!(bits(got), bits(want), "{ctx}: kept permutation");
+                    kept += usize::from(got.is_some());
+                    assert_eq!(fast.mapping(), slow.mapping(), "{ctx}: mapping");
+                    assert_eq!(fast.edits(), slow.edits(), "{ctx}: edits");
+                    assert_eq!(
+                        fast.total_latency().to_bits(),
+                        slow.total_latency().to_bits(),
+                        "{ctx}: total latency"
+                    );
+                    for i in 0..inst.num_apps() {
+                        assert_eq!(
+                            fast.app_apl(i).to_bits(),
+                            slow.app_apl(i).to_bits(),
+                            "{ctx}: app {i} numerator drift"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            kept > 100,
+            "only {kept} windows improved: the check is vacuous"
+        );
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 use crate::eval::{summarize, AplReport};
 use crate::problem::{Mapping, ObmInstance};
+use assignment::CostMatrix;
 
 /// Mappings per kernel chunk. Large enough that the per-chunk setup
 /// (collecting tile slices) amortizes, small enough that the `A × CHUNK`
@@ -56,11 +57,10 @@ const PAR_CHUNK: usize = 256;
 /// via [`ObmInstance::eval_tables`].
 #[derive(Debug, Clone)]
 pub struct EvalTables {
-    num_threads: usize,
-    num_tiles: usize,
-    /// Flat `N×K` placement-cost matrix: `cost[j*K + k]` holds exactly
-    /// the bits of `placement_cost(j, TileId(k))`.
-    cost: Vec<f64>,
+    /// Dense `N×K` placement-cost matrix: entry `(j, k)` holds exactly
+    /// the bits of `placement_cost(j, TileId(k))`. Global hands it to the
+    /// Hungarian solver as is.
+    cost: CostMatrix,
     /// SoA copy of the cache request rates `c_j`.
     c: Vec<f64>,
     /// SoA copy of the memory request rates `m_j`.
@@ -84,23 +84,14 @@ impl EvalTables {
         let n = inst.num_threads();
         let k = inst.num_tiles();
         let a = inst.num_apps();
-        let tiles = inst.tiles();
-        let mut cost = Vec::with_capacity(n * k);
-        for j in 0..n {
-            for t in 0..k {
-                cost.push(inst.placement_cost(j, noc_model::TileId(t)));
-            }
-        }
+        let cost = CostMatrix::from_fn(n, k, |j, t| inst.placement_cost(j, noc_model::TileId(t)));
         let mut app_of = vec![0u32; n];
         for i in 0..a {
             for j in inst.app_threads(i) {
                 app_of[j] = i as u32;
             }
         }
-        debug_assert_eq!(tiles.len(), k);
         EvalTables {
-            num_threads: n,
-            num_tiles: k,
             cost,
             c: (0..n).map(|j| inst.cache_rate(j)).collect(),
             m: (0..n).map(|j| inst.mem_rate(j)).collect(),
@@ -115,13 +106,13 @@ impl EvalTables {
     /// Number of threads `N`.
     #[inline]
     pub fn num_threads(&self) -> usize {
-        self.num_threads
+        self.cost.rows()
     }
 
     /// Number of tiles `K`.
     #[inline]
     pub fn num_tiles(&self) -> usize {
-        self.num_tiles
+        self.cost.cols()
     }
 
     /// Number of applications `A`.
@@ -134,13 +125,20 @@ impl EvalTables {
     /// bit-identical to [`ObmInstance::placement_cost`].
     #[inline]
     pub fn cost(&self, j: usize, k: usize) -> f64 {
-        self.cost[j * self.num_tiles + k]
+        self.cost.get(j, k)
     }
 
     /// The full cost row of thread `j` (all `K` tiles).
     #[inline]
     pub fn cost_row(&self, j: usize) -> &[f64] {
-        &self.cost[j * self.num_tiles..(j + 1) * self.num_tiles]
+        self.cost.row(j)
+    }
+
+    /// The whole `N×K` Eq. (13) matrix, ready for
+    /// [`CostMatrix::solve`].
+    #[inline]
+    pub fn cost_matrix(&self) -> &CostMatrix {
+        &self.cost
     }
 
     /// Application owning thread `j` (O(1) table load).
@@ -218,7 +216,6 @@ impl<'a> BatchEvaluator<'a> {
     pub fn eval_one(&self, mapping: &Mapping) -> AplReport {
         debug_assert!(mapping.is_valid_for(self.inst), "invalid mapping");
         let t = self.tables;
-        let k = t.num_tiles;
         let tiles = mapping.as_slice();
         let a = t.num_apps();
         let mut per_app = Vec::with_capacity(a);
@@ -227,7 +224,7 @@ impl<'a> BatchEvaluator<'a> {
             let range = t.app_range(i);
             let mut num = 0.0;
             for (j, tile) in tiles[range.clone()].iter().enumerate() {
-                num += t.cost[(range.start + j) * k + tile.index()];
+                num += t.cost(range.start + j, tile.index());
             }
             total_num += num;
             per_app.push(num / t.volume[i]);
@@ -463,7 +460,7 @@ impl<'a> BatchEvaluator<'a> {
     ) {
         let t = self.tables;
         let a = t.num_apps();
-        let k = t.num_tiles;
+        let k = t.num_tiles();
         let mc = chunk.len();
         lanes.clear();
         for m in chunk {
@@ -491,7 +488,7 @@ impl<'a> BatchEvaluator<'a> {
                 let s7 = &lanes[lane0 + 7][start..start + len];
                 let mut acc = [0.0f64; 8];
                 for jj in 0..len {
-                    let row = &t.cost[(start + jj) * k..(start + jj + 1) * k];
+                    let row = t.cost_row(start + jj);
                     acc[0] += row[s0[jj].index().min(k - 1)];
                     acc[1] += row[s1[jj].index().min(k - 1)];
                     acc[2] += row[s2[jj].index().min(k - 1)];
@@ -508,7 +505,7 @@ impl<'a> BatchEvaluator<'a> {
                 let s = &lanes[lane0][start..start + len];
                 let mut acc = 0.0f64;
                 for jj in 0..len {
-                    let row = &t.cost[(start + jj) * k..(start + jj + 1) * k];
+                    let row = t.cost_row(start + jj);
                     acc += row[s[jj].index().min(k - 1)];
                 }
                 nrow[lane0] = acc;

@@ -263,6 +263,102 @@ impl<'a> IncrementalEvaluator<'a> {
         }
         self.edits += 1;
     }
+
+    /// Score the permutations `perms[1..]` of the occupants of `tiles`
+    /// (`perms[0]` is the identity and is skipped) without moving any
+    /// thread: on return `scores[k - 1]` is the objective
+    /// [`max_apl`](Self::max_apl) would report after
+    /// [`apply_window_permutation`](Self::apply_window_permutation)`(tiles,
+    /// &perms[k])`. Returns the objective of the unpermuted window.
+    ///
+    /// Bit-identical to trying each permutation with an apply → `max_apl`
+    /// → revert-by-inverse sequence: the touched applications' numerators
+    /// replay exactly those subtractions and additions, in that order, in
+    /// local accumulators (so they end with the same rounding drift), the
+    /// objective is the max over the untouched applications (computed once)
+    /// and the touched ones, and `edits` advances by 2 per permutation.
+    /// See DESIGN.md §13.5.
+    ///
+    /// # Panics
+    /// Panics if the window holds more than 6 tiles.
+    pub(crate) fn score_window_permutations(
+        &mut self,
+        tiles: &[TileId],
+        perms: &[Vec<usize>],
+        scores: &mut Vec<f64>,
+    ) -> f64 {
+        const MAX_WINDOW: usize = 6;
+        // A hole's slot feeds this scratch accumulator, never written back.
+        const HOLE: usize = MAX_WINDOW;
+        let w = tiles.len();
+        assert!(w <= MAX_WINDOW, "window of {w} tiles exceeds {MAX_WINDOW}");
+        let t = self.tables;
+        // acc_of[s]: the accumulator of the thread on tiles[s];
+        // cost[s][x]: that thread's Eq. (13) cost on tiles[x].
+        let mut acc_of = [HOLE; MAX_WINDOW];
+        let mut cost = [[0.0f64; MAX_WINDOW]; MAX_WINDOW];
+        let mut apps = [0usize; MAX_WINDOW];
+        let mut acc = [0.0f64; MAX_WINDOW + 1];
+        let mut touched = 0;
+        for s in 0..w {
+            let Some(j) = self.inverse[tiles[s].index()] else {
+                continue;
+            };
+            let app = t.app_of(j);
+            acc_of[s] = match apps[..touched].iter().position(|&a| a == app) {
+                Some(a) => a,
+                None => {
+                    apps[touched] = app;
+                    acc[touched] = self.app_num[app];
+                    touched += 1;
+                    touched - 1
+                }
+            };
+            let row = t.cost_row(j);
+            for (x, &tile) in tiles.iter().enumerate() {
+                cost[s][x] = row[tile.index()];
+            }
+        }
+        // The objective's own expression (see `max_apl`/`app_apl`), over
+        // the touched applications' accumulators.
+        let inst = self.inst;
+        let objective = |acc: &[f64], rest: f64| {
+            (0..touched).fold(rest, |best, a| {
+                best.max(inst.app_weight(apps[a]) * (acc[a] / inst.app_volume(apps[a])))
+            })
+        };
+        let untouched = (0..inst.num_apps())
+            .filter(|i| !apps[..touched].contains(i))
+            .map(|i| inst.app_weight(i) * self.app_apl(i))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let current = objective(&acc, untouched);
+
+        scores.clear();
+        for perm in &perms[1..] {
+            // Apply: detach every occupant, then attach the occupant of
+            // slot perm[s] on tiles[s].
+            for s in 0..w {
+                acc[acc_of[s]] -= cost[s][s];
+            }
+            for (s, &o) in perm.iter().enumerate() {
+                acc[acc_of[o]] += cost[o][s];
+            }
+            scores.push(objective(&acc, untouched));
+            // Revert by the inverse permutation: detach in tile order, then
+            // attach every occupant back on its own tile.
+            for (s, &o) in perm.iter().enumerate() {
+                acc[acc_of[o]] -= cost[o][s];
+            }
+            for s in 0..w {
+                acc[acc_of[s]] += cost[s][s];
+            }
+        }
+        for a in 0..touched {
+            self.app_num[apps[a]] = acc[a];
+        }
+        self.edits += 2 * scores.len() as u64;
+        current
+    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,8 @@
 #   5. determinism      — the portfolio engine's worker-count-invariance
 #                         suite, the batch-evaluation suite (eval_many ≡
 #                         scratch evaluate bitwise + pinned solver goldens),
+#                         the L1 solver kernels' differential oracles
+#                         (assignment + obm-core unit suites),
 #                         the simulator's golden-report suite
 #                         (Bernoulli + geometric injection), the
 #                         online-remap controller's pinned decision
@@ -101,6 +103,14 @@ echo "==> batch-evaluation determinism suite (release)"
 # goldens pinned to their pre-rewire bits — must hold under release
 # codegen (the autovectorized kernel is only emitted there).
 cargo test -q --release --test eval_batch
+
+echo "==> L1 solver kernel suite (release)"
+# The Hungarian solver's compact column search and SSS's window-scoring
+# kernel must stay bit-identical to the textbook loops they replaced:
+# differential oracles (dense e-maxx LAP on tie-heavy matrices; the
+# apply/evaluate/revert window search) and the 16x16 Global golden run
+# at release speed and under release codegen.
+cargo test -q --release -p assignment -p obm-core
 
 echo "==> simulator determinism suite (release)"
 # The pinned golden SimReports — the default Bernoulli stream (unchanged

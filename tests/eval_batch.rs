@@ -206,6 +206,34 @@ fn golden_sss_c1() {
 }
 
 #[test]
+fn golden_sss_c1_event_stream() {
+    // The probed SSS run on C1: how many windows accepted a swap and the
+    // evaluator's edit count at the last step-size pass, pinned before the
+    // window search moved to the scoring kernel (which must replay the
+    // two edits per tried permutation).
+    use obm::telemetry::{RingSink, SolverEvent};
+    let c1 = c1_instance();
+    let mut sink = RingSink::new(1 << 16);
+    let m = SortSelectSwap::default().map_probed(&c1, 0, &mut sink);
+    assert_eq!(m, SortSelectSwap::default().map(&c1, 0));
+    assert_eq!(sink.dropped(), 0);
+    let mut swaps = 0usize;
+    let mut last_edits = 0u64;
+    for e in sink.solver_events() {
+        match e {
+            SolverEvent::SwapAccepted { .. } => swaps += 1,
+            SolverEvent::EvalDelta { edits, .. } => last_edits = *edits,
+            _ => {}
+        }
+    }
+    assert_eq!(
+        (swaps, last_edits),
+        (23, 28_359),
+        "SSS C1 event stream drifted"
+    );
+}
+
+#[test]
 fn golden_sa_5k_c1() {
     let c1 = c1_instance();
     let sa = SimulatedAnnealing {
