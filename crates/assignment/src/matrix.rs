@@ -94,6 +94,12 @@ impl CostMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// All entries, row-major.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Solve the minimum-cost assignment for this matrix.
     ///
     /// # Panics

@@ -1,7 +1,7 @@
-//! Substrate benches: the Hungarian solver's `O(n³)` scaling (random and
-//! Eq. (13)-structured matrices), SSS at three mesh sizes, incremental vs
-//! from-scratch APL evaluation, trace generation, and simulator
-//! throughput.
+//! Substrate benches: the Hungarian solver's `O(n³)` scaling (random
+//! matrices, where no column repeats, and Eq. (13)-structured ones, where
+//! most do), SSS at three mesh sizes, incremental vs from-scratch APL
+//! evaluation, trace generation, and simulator throughput.
 
 use assignment::CostMatrix;
 use cmp_cache::address::AddressPattern;
@@ -37,20 +37,32 @@ fn filled_instance(side: usize) -> ObmInstance {
     )
 }
 
+/// An `n×n` matrix of uniform random reals in `0..100`, seeded by `n`.
+fn random_costs(n: usize) -> CostMatrix {
+    let mut rng = SmallRng::seed_from_u64(n as u64);
+    let mut m = CostMatrix::zeros(n, n);
+    for r in 0..n {
+        for col in 0..n {
+            m.set(r, col, rng.gen_range(0.0..100.0));
+        }
+    }
+    m
+}
+
 fn hungarian_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("hungarian");
     for n in [16usize, 64, 128, 256] {
-        let mut rng = SmallRng::seed_from_u64(n as u64);
-        let mut m = CostMatrix::zeros(n, n);
-        for r in 0..n {
-            for col in 0..n {
-                m.set(r, col, rng.gen_range(0.0..100.0));
-            }
-        }
+        let m = random_costs(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &m, |b, m| {
             b.iter(|| m.solve())
         });
     }
+    // No repeated columns at scale: every column class is a singleton, so
+    // the solver's grouped search degenerates to one column per group.
+    let m = random_costs(1024);
+    group.bench_with_input(BenchmarkId::new("distinct", 1024), &m, |b, m| {
+        b.iter(|| m.solve())
+    });
     // Global's actual input: the Eq. (13) matrix of a filled chip, rank
     // two with many equal tile latencies, so reduced-cost ties abound.
     for side in [16usize, 32] {

@@ -8,18 +8,25 @@
 #   4. examples         — every example must build *and* run to completion
 #   5. determinism      — the portfolio engine's worker-count-invariance
 #                         suite, the batch-evaluation suite (eval_many ≡
-#                         scratch evaluate bitwise + pinned solver goldens),
+#                         scratch evaluate bitwise + pinned solver goldens,
+#                         including the release-only 32×32 Global golden
+#                         on a 1024² Eq. (13) solve),
 #                         the L1 solver kernels' differential oracles
-#                         (assignment + obm-core unit suites),
+#                         (assignment + obm-core unit suites; the
+#                         Hungarian oracles include a class-heavy
+#                         proptest: few distinct columns copied many
+#                         times, holes, and copies that differ only in
+#                         the sign of a zero),
 #                         the simulator's golden-report suite
 #                         (Bernoulli + geometric injection), the
 #                         online-remap controller's pinned decision
 #                         sequence, the placement search's pinned
 #                         exhaustive win + TM-vs-simulator agreement,
 #                         and the degenerate-shape suite (every solver
-#                         terminates on a 1×1 chip), all in release
-#                         mode (optimizations change f64 codegen
-#                         timing, never the pinned bit patterns)
+#                         terminates on a 1×1 chip; Global, SAM and BnB
+#                         also on 1×N and on equal-tile holes), all in
+#                         release mode (optimizations change f64
+#                         codegen timing, never the pinned bit patterns)
 #   6. CLI smoke        — the observability subcommands (`experiments
 #                         heatmap --json`, `experiments trace --chrome`)
 #                         run on a generated C1 instance; the emitted
@@ -105,11 +112,11 @@ echo "==> batch-evaluation determinism suite (release)"
 cargo test -q --release --test eval_batch
 
 echo "==> L1 solver kernel suite (release)"
-# The Hungarian solver's compact column search and SSS's window-scoring
+# The Hungarian solver's grouped column search and SSS's window-scoring
 # kernel must stay bit-identical to the textbook loops they replaced:
-# differential oracles (dense e-maxx LAP on tie-heavy matrices; the
-# apply/evaluate/revert window search) and the 16x16 Global golden run
-# at release speed and under release codegen.
+# differential oracles (dense e-maxx LAP on tie-heavy and class-heavy
+# matrices; the apply/evaluate/revert window search) and the 16x16
+# Global golden run at release speed and under release codegen.
 cargo test -q --release -p assignment -p obm-core
 
 echo "==> simulator determinism suite (release)"
@@ -121,8 +128,9 @@ cargo test -q --release --test sim_determinism
 
 echo "==> degenerate-shape suite (release)"
 # SA, the SSS+SA hybrid and a deadline-bounded portfolio must return on
-# a one-tile chip, where no swap exists; each solve runs under a
-# watchdog so a hang fails instead of stalling CI.
+# a one-tile chip, where no swap exists, and Global, SAM and BnB on 1×1,
+# 1×N and equal-tile instances; each solve runs under a watchdog so a
+# hang fails instead of stalling CI.
 cargo test -q --release --test degenerate
 
 echo "==> online-remap determinism suite (release)"

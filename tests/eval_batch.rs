@@ -9,7 +9,7 @@
 //!    (pinned goldens captured before the batch engine existed).
 
 use obm::mapping::algorithms::{
-    BalancedGreedy, BranchAndBound, HybridSssSa, Mapper, MonteCarlo, RandomMapper,
+    BalancedGreedy, BranchAndBound, Global, HybridSssSa, Mapper, MonteCarlo, RandomMapper,
     SimulatedAnnealing, SortSelectSwap,
 };
 use obm::mapping::{evaluate, BatchEvaluator, Mapping, ObmInstance};
@@ -343,5 +343,67 @@ fn golden_branch_and_bound_fig5() {
         &bnb.map(&f5, 0),
         0x4024accccccccccd,
         &[3, 2, 11, 6, 12, 4, 13, 9, 0, 1, 8, 5, 15, 7, 14, 10],
+    );
+}
+
+/// A full 32×32 chip: 16 applications × 64 threads at C2's Table 3 rates
+/// on the paper's latency parameters — the `filled_instance(32)` recipe of
+/// the substrates bench and the perfbench `scale32` shape.
+fn filled_instance_32() -> ObmInstance {
+    let side = 32;
+    let tiles = side * side;
+    let apps = tiles / 64;
+    let (cache, mem) = PaperConfig::C2.targets();
+    let profiles = obm::workload::config::round_robin_profiles(apps);
+    let (work, _) = WorkloadBuilder::custom(profiles, tiles / apps, cache, mem)
+        .epochs(2_000)
+        .seed(side as u64)
+        .build();
+    let mesh = Mesh::square(side);
+    let (c, m) = work.rate_vectors();
+    ObmInstance::new(TileLatencies::paper_default(&mesh), work.boundaries(), c, m)
+}
+
+/// Global's 1024×1024 Hungarian solve on the Eq. (13) matrix, where only a
+/// few columns are distinct: pinned before the solver's search moved to
+/// groups of identical columns, so any drift in its search order or
+/// tie-breaking shows here.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: 1024² solve")]
+fn golden_global_32x32() {
+    let inst = filled_instance_32();
+    let mapping = Global.map(&inst, 0);
+    // The solver's `cost`: the assigned entries summed in row order.
+    let costs = inst.eval_tables().cost_matrix();
+    let cost: f64 = mapping
+        .as_slice()
+        .iter()
+        .enumerate()
+        .map(|(r, t)| costs.get(r, t.index()))
+        .sum();
+    // FNV-1a over the tile indices.
+    let hash = mapping
+        .as_slice()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
+            (h ^ t.index() as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    let r = evaluate(&inst, &mapping);
+    assert_eq!(
+        (hash, cost.to_bits(), r.g_apl.to_bits(), r.max_apl.to_bits()),
+        (
+            0x368d_d13a_72b6_d791,
+            0x4106_532c_dd44_cd5b,
+            0x4053_bfe7_35e2_11fa,
+            0x4057_a79e_968c_8ea9
+        ),
+        "Global 32x32 drifted: hash 0x{hash:016x}, cost {} (0x{:016x}), \
+         g-APL {} (0x{:016x}), max-APL {} (0x{:016x})",
+        cost,
+        cost.to_bits(),
+        r.g_apl,
+        r.g_apl.to_bits(),
+        r.max_apl,
+        r.max_apl.to_bits()
     );
 }
