@@ -6,10 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use noc_model::{LatencyParams, MemoryControllers, Mesh, TileId, TileLatencies};
-use noc_sim::telemetry::{NoopSink, RingSink};
-use noc_sim::{InjectionProcess, Network, Schedule, SimConfig, TrafficSpec};
+use noc_sim::telemetry::RingSink;
+use noc_sim::{InjectionProcess, Network, RunHooks, Schedule, SimConfig, TrafficSpec};
 use obm_bench::harness::paper_instance;
-use obm_bench::sim_bridge::{simulate_mapping, simulate_mapping_metered, simulate_mapping_probed};
+use obm_bench::sim_bridge::{simulate_mapping, simulate_mapping_with};
 use obm_core::algorithms::{Mapper, SortSelectSwap};
 use obm_core::{traffic_spec, ObmInstance, RemapConfig, RemapController};
 use workload::PaperConfig;
@@ -36,13 +36,10 @@ fn uniform_sim_with(
 }
 
 fn uniform_sim(mesh_side: usize, cache_per_kcycle: f64, cycles: u64) -> noc_sim::SimReport {
-    uniform_sim_with(
-        mesh_side,
-        cache_per_kcycle,
-        cycles,
-        InjectionProcess::BernoulliPerCycle,
-    )
+    uniform_sim_with(mesh_side, cache_per_kcycle, cycles, BERNOULLI)
 }
+
+const BERNOULLI: InjectionProcess = InjectionProcess::BernoulliPerCycle;
 
 /// The headline number: C1 (8×8, paper Table 3 rates) through the real
 /// mapping pipeline, 10k measured cycles.
@@ -60,7 +57,8 @@ fn sim_c1_paper_load(c: &mut Criterion) {
     group.bench_function("c1_8x8_10k_cycles_probed", |b| {
         b.iter(|| {
             let mut sink = RingSink::new(64);
-            simulate_mapping_probed(&pi, &mapping, 10_000, 7, &mut sink)
+            let hooks = RunHooks::default().probe(&mut sink);
+            simulate_mapping_with(&pi, &mapping, 10_000, 7, BERNOULLI, hooks)
         })
     });
     // Same run with a metrics registry attached (DESIGN.md §17): the
@@ -71,7 +69,10 @@ fn sim_c1_paper_load(c: &mut Criterion) {
     // (`metrics_delta_pct/disabled`).
     group.bench_function("c1_8x8_10k_cycles_metrics", |b| {
         let registry = noc_metrics::MetricsRegistry::new();
-        b.iter(|| simulate_mapping_metered(&pi, &mapping, 10_000, 7, registry.handle()))
+        b.iter(|| {
+            let hooks = RunHooks::default().metrics(registry.handle());
+            simulate_mapping_with(&pi, &mapping, 10_000, 7, BERNOULLI, hooks)
+        })
     });
     group.finish();
 }
@@ -111,7 +112,7 @@ fn sim_injection_modes(c: &mut Criterion) {
 
 /// Closed-loop controller overhead on the hot loop: the steady
 /// (no-drift) 4×4 single-MC scenario run plain and under
-/// `run_controlled` with an armed [`RemapController`] whose threshold
+/// a run whose hooks carry an armed [`RemapController`] whose threshold
 /// is set high enough that it never re-solves. The delta between the
 /// two medians is the price of *watching* — the per-delivery
 /// per-source class accounting plus the per-window controller
@@ -153,7 +154,7 @@ fn sim_remap_loadcurve(c: &mut Criterion) {
                 .expect("valid controller");
             Network::new(cfg(), traffic_spec(&inst, &mapping))
                 .expect("valid scenario")
-                .run_controlled(&mut NoopSink, &mut ctrl)
+                .run_with(RunHooks::default().controller(&mut ctrl))
                 .expect("a quiet controller cannot fail")
         })
     });

@@ -22,6 +22,7 @@
 //! scaling, weighted, torus, firstprinciples, optgap, queueing, fig3sim,
 //! oversub, nocparams, tails.
 
+use noc_metrics::MetricsHandle;
 use noc_sim::InjectionProcess;
 use obm_bench::experiments;
 
@@ -86,7 +87,7 @@ fn main() {
     };
 
     for id in selected {
-        match experiments::run_with(id, fast, injection) {
+        match experiments::run(id, fast, injection, &MetricsHandle::disabled()) {
             Some(output) => {
                 println!("{output}");
                 if let Some(dir) = &out_dir {

@@ -7,7 +7,7 @@
 
 use noc_model::{LatencyParams, MemoryControllers, Mesh, TileId, TileLatencies};
 use obm_core::algorithms::{Mapper, SortSelectSwap};
-use obm_core::{evaluate, BalanceMetric, Mapping, ObmInstance};
+use obm_core::{evaluate, AplReport, Mapping, ObmInstance};
 
 /// The Figure 5 instance.
 pub fn fig5_instance() -> ObmInstance {
@@ -52,6 +52,16 @@ pub fn fig5_mappings(inst: &ObmInstance) -> (Mapping, Mapping) {
     (Mapping::new(good), Mapping::new(bad))
 }
 
+/// `min_i d_i / max_i d_i` (1 = perfectly equal; an all-zero report
+/// counts as equal).
+fn min_to_max(report: &AplReport) -> f64 {
+    if report.max_apl == 0.0 {
+        1.0
+    } else {
+        report.min_apl / report.max_apl
+    }
+}
+
 pub fn run() -> String {
     let inst = fig5_instance();
     let (good, bad) = fig5_mappings(&inst);
@@ -67,12 +77,12 @@ pub fn run() -> String {
          SSS on this instance reaches max-APL {:.4} (= the optimum).\n",
         ra.per_app.iter().map(|d| (d * 1e4).round() / 1e4).collect::<Vec<_>>(),
         ra.max_apl,
-        BalanceMetric::DevApl.value(&ra),
-        BalanceMetric::MinToMaxRatio.value(&ra),
+        ra.dev_apl,
+        min_to_max(&ra),
         rb.per_app.iter().map(|d| (d * 1e4).round() / 1e4).collect::<Vec<_>>(),
         rb.max_apl,
-        BalanceMetric::DevApl.value(&rb),
-        BalanceMetric::MinToMaxRatio.value(&rb),
+        rb.dev_apl,
+        min_to_max(&rb),
         rb.max_apl - ra.max_apl,
         sss.max_apl,
     )
@@ -91,5 +101,37 @@ mod tests {
         assert!((ra.max_apl - 10.3375).abs() < 1e-9);
         assert!((rb.max_apl - 11.5375).abs() < 1e-9);
         assert!(ra.dev_apl < 1e-9 && rb.dev_apl < 1e-9);
+    }
+
+    fn report(per_app: &[f64]) -> AplReport {
+        let max = per_app.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let min = per_app.iter().cloned().fold(f64::INFINITY, f64::min);
+        let mean = per_app.iter().sum::<f64>() / per_app.len() as f64;
+        let dev =
+            (per_app.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / per_app.len() as f64).sqrt();
+        AplReport {
+            per_app: per_app.to_vec(),
+            max_apl: max,
+            min_apl: min,
+            argmax: 0,
+            dev_apl: dev,
+            g_apl: mean,
+        }
+    }
+
+    #[test]
+    fn fig5_style_tie_under_dev_but_not_max() {
+        // Two perfectly balanced outcomes: APLs all 10.3375 vs all 11.5375.
+        // dev-APL and min-to-max cannot tell them apart; max-APL can.
+        let good = report(&[10.3375; 4]);
+        let bad = report(&[11.5375; 4]);
+        assert_eq!(good.dev_apl, bad.dev_apl);
+        assert_eq!(min_to_max(&good), min_to_max(&bad));
+        assert!(good.max_apl < bad.max_apl);
+    }
+
+    #[test]
+    fn min_to_max_of_degenerate_zero_max() {
+        assert_eq!(min_to_max(&report(&[0.0, 0.0])), 1.0);
     }
 }

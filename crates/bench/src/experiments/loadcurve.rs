@@ -9,7 +9,7 @@ use crate::table::{f, MarkdownTable};
 use noc_model::Mesh;
 use noc_sim::config::RoutingKind;
 use noc_sim::telemetry::{Phase, RingSink};
-use noc_sim::{InjectionProcess, Network, Schedule, SimConfig, TrafficSpec};
+use noc_sim::{InjectionProcess, Network, RunHooks, Schedule, SimConfig, TrafficSpec};
 
 fn uniform_traffic(mesh: &Mesh, cache_per_kcycle: f64) -> TrafficSpec {
     TrafficSpec::uniform(
@@ -40,7 +40,8 @@ fn run_point(
     let mut sink = RingSink::new(4096);
     let report = Network::new(cfg, uniform_traffic(&mesh, rate))
         .expect("valid scenario")
-        .run_probed(&mut sink);
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     let peak_window_buffered = sink
         .windows()
         .filter(|w| w.phase == Phase::Measure)

@@ -56,25 +56,14 @@ pub const ALL: &[&str] = &[
 ];
 
 /// Run one experiment by id. `fast` trims sample counts / simulated cycles
-/// so the full suite stays CI-friendly. Sweep-style experiments
-/// (`loadcurve`, `validate`, `tails`) use geometric injection by default;
-/// [`run_with`] overrides the process.
-pub fn run(id: &str, fast: bool) -> Option<String> {
-    run_with(id, fast, noc_sim::InjectionProcess::Geometric)
-}
-
-/// [`run`] with an explicit injection process for the simulator-sweep
-/// experiments. Ids whose output is pinned to the default Bernoulli RNG
-/// stream (seeded replays, golden comparisons) ignore `injection`.
-pub fn run_with(id: &str, fast: bool, injection: noc_sim::InjectionProcess) -> Option<String> {
-    run_with_metrics(id, fast, injection, &noc_metrics::MetricsHandle::disabled())
-}
-
-/// [`run_with`] reporting into a metrics registry (DESIGN.md §17,
-/// `obm experiments <id> --metrics`). Every experiment counts its run
-/// under `experiment_runs_total`; `validate` additionally publishes its
-/// throughput/parallelism gauges and the portfolio instrumentation.
-pub fn run_with_metrics(
+/// so the full suite stays CI-friendly. `injection` picks the process of
+/// the simulator-sweep experiments (`loadcurve`, `validate`, `tails`);
+/// ids whose output is pinned to the default Bernoulli RNG stream (seeded
+/// replays, golden comparisons) ignore it. Every experiment counts its run
+/// under `experiment_runs_total` in `metrics` (DESIGN.md §17,
+/// `obm experiments <id> --metrics`); `validate` additionally publishes
+/// its throughput/parallelism gauges and the portfolio instrumentation.
+pub fn run(
     id: &str,
     fast: bool,
     injection: noc_sim::InjectionProcess,
@@ -105,7 +94,7 @@ fn dispatch(
         "fig10" => lineup_views::run_fig10(),
         "fig11" => lineup_views::run_fig11(),
         "fig12" => fig12::run(fast),
-        "validate" => validate::run_with_metrics(fast, injection, metrics),
+        "validate" => validate::run(fast, injection, metrics),
         "ablation" => ablation::run(),
         "loadcurve" => loadcurve::run_with(fast, injection),
         "scaling" => scaling::run(fast),

@@ -10,7 +10,7 @@
 use crate::table::{f, MarkdownTable};
 use noc_model::{LatencyParams, MemoryControllers, Mesh, TileLatencies};
 use noc_sim::telemetry::RingSink;
-use noc_sim::{Network, SimConfig};
+use noc_sim::{Network, RunHooks, SimConfig};
 use obm_core::placement::{co_optimize, sss_inner, PlacementOptions, SearchMode};
 use obm_core::{evaluate, ObmInstance};
 
@@ -68,7 +68,8 @@ pub fn run(fast: bool) -> String {
         let mut sink = RingSink::new(4096);
         let report = Network::new(cfg, traffic)
             .expect("sweep simulation config is valid")
-            .run_probed(&mut sink);
+            .run_with(RunHooks::default().probe(&mut sink))
+            .expect("a run without a controller cannot fail");
         let heat = sink
             .heatmaps()
             .next()

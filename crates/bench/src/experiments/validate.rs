@@ -6,37 +6,25 @@
 
 use crate::harness::{all_paper_instances, paper_instance};
 use crate::pool;
-use crate::sim_bridge::simulate_mapping_probed_with;
+use crate::sim_bridge::simulate_mapping_with;
 use crate::table::{f, MarkdownTable};
 use noc_metrics::{MetricsHandle, MetricsRegistry};
 use noc_sim::telemetry::{Phase, RingSink};
-use noc_sim::InjectionProcess;
+use noc_sim::{InjectionProcess, RunHooks};
 use obm_core::algorithms::{Mapper, MonteCarlo, SimulatedAnnealing, SortSelectSwap};
 use obm_core::evaluate;
 use obm_portfolio::{Algorithm, SolveRequest};
 use workload::PaperConfig;
 
-/// Sweeps default to geometric injection (the validation compares latency
-/// *statistics* against the analytic model, not a seeded replay).
-pub fn run(fast: bool) -> String {
-    run_with(fast, InjectionProcess::Geometric)
-}
-
-pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
-    run_with_metrics(fast, injection, &MetricsHandle::disabled())
-}
-
-/// [`run_with`] reporting into a metrics registry (DESIGN.md §17). The
-/// sweep's throughput and parallelism figures are published as gauges
-/// and the printed footer reads them back from the registry, so the
-/// report and an exported snapshot can never disagree. With a disabled
-/// handle a private registry is used — the gauges still back the
-/// printout.
-pub fn run_with_metrics(
-    fast: bool,
-    injection: InjectionProcess,
-    metrics: &MetricsHandle,
-) -> String {
+/// Run the validation sweep under `injection` (callers default to
+/// geometric: it compares latency *statistics* against the analytic
+/// model, not a seeded replay), reporting into a metrics registry
+/// (DESIGN.md §17). The sweep's throughput and parallelism figures are
+/// published as gauges and the printed footer reads them back from the
+/// registry, so the report and an exported snapshot can never disagree.
+/// With a disabled handle a private registry is used — the gauges still
+/// back the printout.
+pub fn run(fast: bool, injection: InjectionProcess, metrics: &MetricsHandle) -> String {
     let metrics = if metrics.enabled() {
         metrics.clone()
     } else {
@@ -99,7 +87,8 @@ pub fn run_with_metrics(
         // Probed run: windowed telemetry rides along with the
         // validation sweep at no semantic cost (bit-identical).
         let mut sink = RingSink::new(4096);
-        let sim = simulate_mapping_probed_with(pi, &mapping, cycles, 7, injection, &mut sink);
+        let hooks = RunHooks::default().probe(&mut sink);
+        let sim = simulate_mapping_with(pi, &mapping, cycles, 7, injection, hooks);
         let measure = || sink.windows().filter(|w| w.phase == Phase::Measure);
         let peak_inj = measure().map(|w| w.injection_rate()).fold(0.0f64, f64::max);
         let peak_buf = measure().map(|w| w.buffered_flits).max().unwrap_or(0);
@@ -210,7 +199,11 @@ mod tests {
     #[test]
     #[ignore = "runs the cycle-level simulator; exercised by `experiments validate`"]
     fn validate_runs() {
-        let out = super::run(true);
+        let out = super::run(
+            true,
+            super::InjectionProcess::Geometric,
+            &Default::default(),
+        );
         assert!(out.contains("Validation"));
     }
 }

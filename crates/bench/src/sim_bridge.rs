@@ -8,8 +8,10 @@
 
 use crate::harness::PaperInstance;
 use noc_model::Mesh;
-use noc_sim::telemetry::{FlowSummary, HeatmapRecord, Probe, RingSink};
-use noc_sim::{InjectionProcess, Network, Schedule, SimConfig, SimReport, SourceSpec, TrafficSpec};
+use noc_sim::telemetry::{FlowSummary, HeatmapRecord, RingSink};
+use noc_sim::{
+    InjectionProcess, Network, RunHooks, Schedule, SimConfig, SimReport, SourceSpec, TrafficSpec,
+};
 use obm_core::Mapping;
 
 /// The traffic a mapping induces at mean rates: thread `j` of application
@@ -53,8 +55,8 @@ fn paper_sim_config(measure_cycles: u64, seed: u64, injection: InjectionProcess)
 ///
 /// Uses the default Bernoulli-per-cycle injection so seeded runs stay
 /// bit-identical with the PR 1 goldens; sweeps that only need the arrival
-/// *distribution* pick the geometric fast path via
-/// [`simulate_mapping_with`].
+/// *distribution* pick the geometric fast path, and observed runs attach
+/// their hooks, via [`simulate_mapping_with`].
 pub fn simulate_mapping(
     pi: &PaperInstance,
     mapping: &Mapping,
@@ -67,73 +69,30 @@ pub fn simulate_mapping(
         measure_cycles,
         seed,
         InjectionProcess::BernoulliPerCycle,
+        RunHooks::default(),
     )
 }
 
-/// [`simulate_mapping`] with a metrics registry attached (DESIGN.md
-/// §17). The report is bit-identical to the plain run — the registry is
-/// a write-only observer; the criterion twin of this helper prices the
-/// enabled-path overhead (`metrics_delta_pct/enabled`).
-pub fn simulate_mapping_metered(
-    pi: &PaperInstance,
-    mapping: &Mapping,
-    measure_cycles: u64,
-    seed: u64,
-    metrics: noc_metrics::MetricsHandle,
-) -> SimReport {
-    let cfg = paper_sim_config(measure_cycles, seed, InjectionProcess::BernoulliPerCycle);
-    Network::new(cfg, traffic_from_mapping(pi, mapping))
-        .expect("paper scenario is valid")
-        .with_metrics(metrics)
-        .run()
-}
-
-/// [`simulate_mapping`] with an explicit injection process.
+/// [`simulate_mapping`] with an explicit injection process and run hooks
+/// (a probe, a metrics handle). Hooks only observe: the report is
+/// bit-identical to the hook-free run of the same seed.
+///
+/// # Panics
+///
+/// If a controller among the hooks requests an invalid retarget.
 pub fn simulate_mapping_with(
     pi: &PaperInstance,
     mapping: &Mapping,
     measure_cycles: u64,
     seed: u64,
     injection: InjectionProcess,
+    hooks: RunHooks<'_>,
 ) -> SimReport {
     let cfg = paper_sim_config(measure_cycles, seed, injection);
     Network::new(cfg, traffic_from_mapping(pi, mapping))
         .expect("paper scenario is valid")
-        .run()
-}
-
-/// [`simulate_mapping`], additionally streaming windowed telemetry to
-/// `probe`. Bit-identical to the unprobed run for any probe.
-pub fn simulate_mapping_probed(
-    pi: &PaperInstance,
-    mapping: &Mapping,
-    measure_cycles: u64,
-    seed: u64,
-    probe: &mut dyn Probe,
-) -> SimReport {
-    simulate_mapping_probed_with(
-        pi,
-        mapping,
-        measure_cycles,
-        seed,
-        InjectionProcess::BernoulliPerCycle,
-        probe,
-    )
-}
-
-/// [`simulate_mapping_probed`] with an explicit injection process.
-pub fn simulate_mapping_probed_with(
-    pi: &PaperInstance,
-    mapping: &Mapping,
-    measure_cycles: u64,
-    seed: u64,
-    injection: InjectionProcess,
-    probe: &mut dyn Probe,
-) -> SimReport {
-    let cfg = paper_sim_config(measure_cycles, seed, injection);
-    Network::new(cfg, traffic_from_mapping(pi, mapping))
-        .expect("paper scenario is valid")
-        .run_probed(probe)
+        .run_with(hooks)
+        .expect("controller retargets are valid")
 }
 
 /// A probed run bundled with its end-of-run observability records: the
@@ -147,7 +106,7 @@ pub struct ObservedRun {
     pub heatmap: HeatmapRecord,
 }
 
-/// [`simulate_mapping_with`], additionally capturing the flow summary and
+/// [`simulate_mapping_with`] under a probe, capturing the flow summary and
 /// heatmap the probed run emits at end of run.
 pub fn simulate_mapping_observed(
     pi: &PaperInstance,
@@ -156,12 +115,11 @@ pub fn simulate_mapping_observed(
     seed: u64,
     injection: InjectionProcess,
 ) -> ObservedRun {
+    // Windows are streamed but evicted by the tiny ring; the flow and
+    // heatmap records arrive last, so both survive.
     let mut sink = RingSink::new(2);
-    let report = simulate_mapping_probed_with(pi, mapping, measure_cycles, seed, injection, {
-        // Windows are streamed but evicted by the tiny ring; the flow and
-        // heatmap records arrive last, so both survive.
-        &mut sink
-    });
+    let hooks = RunHooks::default().probe(&mut sink);
+    let report = simulate_mapping_with(pi, mapping, measure_cycles, seed, injection, hooks);
     let flow = sink
         .flow_summaries()
         .next()
@@ -227,7 +185,14 @@ mod tests {
         let mapping = SortSelectSwap::default().map(&pi.instance, 0);
         let cycles = 40_000;
         let bern = simulate_mapping(&pi, &mapping, cycles, 9);
-        let geom = simulate_mapping_with(&pi, &mapping, cycles, 9, InjectionProcess::Geometric);
+        let geom = simulate_mapping_with(
+            &pi,
+            &mapping,
+            cycles,
+            9,
+            InjectionProcess::Geometric,
+            RunHooks::default(),
+        );
         assert!(bern.fully_drained && geom.fully_drained);
         // Same offered load ⇒ injected volumes within 5% of each other.
         let inj_ratio = geom.injected as f64 / bern.injected as f64;
@@ -281,7 +246,14 @@ mod tests {
         let mapping = SortSelectSwap::default().map(&pi.instance, 0);
         let plain = simulate_mapping(&pi, &mapping, 5_000, 3);
         let mut sink = RingSink::new(1024);
-        let probed = simulate_mapping_probed(&pi, &mapping, 5_000, 3, &mut sink);
+        let probed = simulate_mapping_with(
+            &pi,
+            &mapping,
+            5_000,
+            3,
+            InjectionProcess::BernoulliPerCycle,
+            RunHooks::default().probe(&mut sink),
+        );
         assert!(plain.semantic_eq(&probed), "probe perturbed the run");
         assert!(sink.windows().count() > 0);
     }

@@ -11,12 +11,14 @@ use noc_sim::telemetry::json::Value;
 use noc_sim::telemetry::{
     FlowAccum, JsonLinesSink, PacketRecord, Record, RingSink, Sink, WindowRecord,
 };
-use noc_sim::{Network, SimConfig};
+use noc_sim::{Network, RunHooks, SimConfig};
 use obm_core::algorithms::{
     BalancedGreedy, BranchAndBound, Global, HybridSssSa, Mapper, MonteCarlo, RandomMapper,
     SimulatedAnnealing, SortSelectSwap,
 };
-use obm_core::{evaluate, Mapping, ObjectiveSpec, ObmInstance, PlacementOptions, SearchMode};
+use obm_core::{
+    evaluate, CancelToken, Mapping, ObjectiveSpec, ObmInstance, PlacementOptions, SearchMode,
+};
 use obm_portfolio::{Algorithm, Checkpoint, SolveBudget, SolveRequest};
 use workload::{PaperConfig, WorkloadBuilder};
 
@@ -244,8 +246,8 @@ pub fn simulate_command(
     let traffic = obm_core::traffic_spec(&inst, &mapping);
     let report = Network::new(cfg, traffic)
         .map_err(|e| format!("invalid simulation config: {e}"))?
-        .with_metrics(metrics.clone())
-        .run();
+        .run_with(RunHooks::default().metrics(metrics.clone()))
+        .map_err(|e| format!("simulation failed: {e}"))?;
     let analytic = evaluate(&inst, &mapping);
     let mut out = String::new();
     out.push_str(&format!(
@@ -315,11 +317,14 @@ pub fn trace_command(
         ("threads", Value::from(inst.num_threads())),
         ("apps", Value::from(inst.num_apps())),
     ]));
-    let mapping = mapper.map_probed(&inst, seed, &mut sink);
+    let mapping = mapper
+        .map_cancellable(&inst, seed, &CancelToken::never(), &mut sink)
+        .ok_or("a never-firing token cancelled the mapper")?;
     let traffic = obm_core::traffic_spec(&inst, &mapping);
     let report = Network::new(cfg, traffic)
         .map_err(|e| format!("invalid simulation config: {e}"))?
-        .run_probed(&mut sink);
+        .run_with(RunHooks::default().probe(&mut sink))
+        .map_err(|e| format!("simulation failed: {e}"))?;
     sink.write_value(&Value::obj([
         ("type", Value::from("summary")),
         ("cycles_run", Value::from(report.network.cycles_run)),
@@ -401,7 +406,8 @@ pub fn heatmap_command(
     let mut sink = RingSink::new(4096);
     let report = Network::new(cfg, traffic)
         .map_err(|e| format!("invalid simulation config: {e}"))?
-        .run_probed(&mut sink);
+        .run_with(RunHooks::default().probe(&mut sink))
+        .map_err(|e| format!("simulation failed: {e}"))?;
     let heat = sink
         .heatmaps()
         .next()
@@ -537,7 +543,8 @@ pub fn chrome_trace_command(
     let mut cap = ChromeCapture::default();
     let report = Network::new(cfg, traffic)
         .map_err(|e| format!("invalid simulation config: {e}"))?
-        .run_probed(&mut cap);
+        .run_with(RunHooks::default().probe(&mut cap))
+        .map_err(|e| format!("simulation failed: {e}"))?;
 
     let mut events = Vec::new();
     for (g, name) in spec.app_names().iter().enumerate() {
@@ -1105,6 +1112,28 @@ thread 8.5 1.3
         let out = map_command(SPEC, "greedy", 0, true, "apl", LayoutFlags::default()).unwrap();
         assert!(out.contains("application grid"));
         assert!(out.contains("  .") || out.contains("  1"), "{out}");
+    }
+
+    /// An app whose threads all have zero rates has no defined APL; every
+    /// command that builds an instance reports the spec error instead of
+    /// panicking in `ObmInstance::new`.
+    #[test]
+    fn zero_volume_app_is_an_error_not_a_panic() {
+        let spec = "mesh 1 4\ncontrollers corners\napp a 2\nthread 0 0\nthread 0 0\n";
+        let e =
+            map_command(spec, "sss", 0, false, "min-max-apl", LayoutFlags::default()).unwrap_err();
+        assert!(e.contains("zero total request rate"), "{e}");
+        assert!(exact_command(spec, 1_000).is_err());
+        let e = simulate_command(
+            spec,
+            "sss",
+            0,
+            1_000,
+            LayoutFlags::default(),
+            &MetricsHandle::disabled(),
+        )
+        .unwrap_err();
+        assert!(e.contains("zero total request rate"), "{e}");
     }
 
     #[test]

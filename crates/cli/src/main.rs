@@ -285,7 +285,7 @@ fn run_command(
                     "injection",
                     noc_sim::InjectionProcess::Geometric,
                 )?;
-                return obm_bench::experiments::run_with_metrics(sub, fast, injection, metrics)
+                return obm_bench::experiments::run(sub, fast, injection, metrics)
                     .map(|out| out.trim_end().to_string())
                     .ok_or_else(|| format!("experiment '{sub}' unavailable"));
             }

@@ -95,6 +95,9 @@ pub enum SpecError {
     NoApps,
     /// The last `app` block declared more threads than it provided.
     DanglingThreads { app: String, missing: usize },
+    /// Every thread of an app has zero cache and memory rates: its APL
+    /// (Eq. 5) divides by its total request volume, which is then zero.
+    ZeroVolumeApp { app: String },
     /// Thread counts total more than the chip has tiles.
     CapacityExceeded { threads: usize, tiles: usize },
     /// The `weights` line length does not match the app count.
@@ -114,6 +117,9 @@ impl std::fmt::Display for SpecError {
             SpecError::NoApps => write!(f, "no applications declared"),
             SpecError::DanglingThreads { app, missing } => {
                 write!(f, "app '{app}' still expects {missing} thread line(s)")
+            }
+            SpecError::ZeroVolumeApp { app } => {
+                write!(f, "app '{app}' has zero total request rate")
             }
             SpecError::CapacityExceeded { threads, tiles } => {
                 write!(f, "{threads} threads exceed {tiles} tiles")
@@ -271,6 +277,15 @@ impl InstanceSpec {
         let (rows, cols) = mesh.ok_or(SpecError::MissingMesh)?;
         if apps.is_empty() {
             return Err(SpecError::NoApps);
+        }
+        // The same volume sum `ObmInstance::new` requires to be positive.
+        if let Some(app) = apps
+            .iter()
+            .find(|a| a.threads.iter().map(|&(c, m)| c + m).sum::<f64>() <= 0.0)
+        {
+            return Err(SpecError::ZeroVolumeApp {
+                app: app.name.clone(),
+            });
         }
         let total: usize = apps.iter().map(|a| a.threads.len()).sum();
         if total > rows * cols {
@@ -585,6 +600,22 @@ weights 2 1
             InstanceSpec::parse("mesh 2 2\n").unwrap_err(),
             SpecError::NoApps
         );
+    }
+
+    #[test]
+    fn zero_volume_app_rejected_by_name() {
+        let text = "mesh 1 4\ncontrollers corners\napp busy 1\nthread 1 0\n\
+                    app a 2\nthread 0 0\nthread 0 0\n";
+        let e = InstanceSpec::parse(text).unwrap_err();
+        assert_eq!(
+            e,
+            SpecError::ZeroVolumeApp {
+                app: "a".to_string()
+            }
+        );
+        assert!(e.to_string().contains("'a'"), "{e}");
+        // One thread with any positive rate is enough.
+        assert!(InstanceSpec::parse("mesh 1 4\napp a 2\nthread 0 0\nthread 0 0.1\n").is_ok());
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod registry;
 mod snapshot;
 
 pub use registry::{
-    ClockMode, Counter, ExactHistogram, FixedHistogram, Gauge, MetricsHandle, MetricsRegistry,
-    SpanGuard,
+    ClockMode, Counter, ExactHistogram, FixedHistogram, Gauge, LapTimer, MetricsHandle,
+    MetricsRegistry, SpanGuard,
 };
 pub use snapshot::{span_parent, FixedSnapshot, MetricsSnapshot, SnapshotError, SpanSnapshot};

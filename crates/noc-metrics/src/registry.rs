@@ -316,8 +316,26 @@ impl MetricsHandle {
         }
     }
 
-    /// Fold pre-accumulated timings into a span in one call — the shape
-    /// the simulator uses to avoid per-cycle registry traffic. Durations
+    /// A hot-loop timer for the span at `path`, split into consecutive
+    /// child `phases` (`path/phase`). See [`LapTimer`].
+    pub fn lap_timer(&self, path: &str, phases: &[&str]) -> LapTimer {
+        LapTimer(self.enabled().then(|| {
+            let now = Instant::now();
+            Box::new(LapState {
+                handle: self.clone(),
+                path: path.to_string(),
+                total: Tally::default(),
+                phases: phases
+                    .iter()
+                    .map(|p| (format!("{path}/{p}"), Tally::default()))
+                    .collect(),
+                start: now,
+                mark: now,
+            })
+        }))
+    }
+
+    /// Fold pre-accumulated timings into a span in one call. Durations
     /// are zeroed under [`ClockMode::Logical`].
     pub fn record_span(&self, path: &str, count: u64, total_nanos: u64, max_nanos: u64) {
         if let Some(r) = &self.0 {
@@ -474,6 +492,90 @@ struct ActiveSpan {
     start: Option<Instant>,
 }
 
+/// Local `(count, total, max)` accumulator behind [`LapTimer`].
+#[derive(Default)]
+struct Tally {
+    count: u64,
+    nanos: u64,
+    max: u64,
+}
+
+impl Tally {
+    fn add(&mut self, nanos: u64) {
+        self.count += 1;
+        self.nanos += nanos;
+        self.max = self.max.max(nanos);
+    }
+}
+
+struct LapState {
+    handle: MetricsHandle,
+    path: String,
+    total: Tally,
+    /// Child span path and its tally, in phase order.
+    phases: Vec<(String, Tally)>,
+    start: Instant,
+    mark: Instant,
+}
+
+fn nanos_between(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.duration_since(from).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A hot-loop timer for one span split into consecutive phases — the
+/// simulator's `sim/serial/cycle` and its `inject`/`route`/`traverse`
+/// children. One observation is [`begin`](LapTimer::begin), one
+/// [`lap`](LapTimer::lap) per phase, then [`end`](LapTimer::end): each lap
+/// charges the time since the previous mark to its phase, and the parent
+/// gets the whole observation. Timings accumulate locally and reach the
+/// registry once, in [`finish`](LapTimer::finish), so the loop does no
+/// registry traffic. From a disabled handle every call is a never-taken
+/// branch.
+pub struct LapTimer(Option<Box<LapState>>);
+
+impl LapTimer {
+    /// Open one observation of the parent span.
+    #[inline]
+    pub fn begin(&mut self) {
+        if let Some(s) = &mut self.0 {
+            s.start = Instant::now();
+            s.mark = s.start;
+        }
+    }
+
+    /// Charge the time since the previous mark to `phase` (an index into
+    /// the phases the timer was built with).
+    #[inline]
+    pub fn lap(&mut self, phase: usize) {
+        if let Some(s) = &mut self.0 {
+            let now = Instant::now();
+            s.phases[phase].1.add(nanos_between(s.mark, now));
+            s.mark = now;
+        }
+    }
+
+    /// Close the observation: the parent is charged from `begin` to the
+    /// last lap.
+    #[inline]
+    pub fn end(&mut self) {
+        if let Some(s) = &mut self.0 {
+            s.total.add(nanos_between(s.start, s.mark));
+        }
+    }
+
+    /// Fold the accumulated observations into the registry (nothing when
+    /// no observation was closed).
+    pub fn finish(self) {
+        let Some(s) = self.0 else { return };
+        if s.total.count > 0 {
+            let spans = std::iter::once((&s.path, &s.total));
+            for (path, t) in spans.chain(s.phases.iter().map(|(p, t)| (p, t))) {
+                s.handle.record_span(path, t.count, t.nanos, t.max);
+            }
+        }
+    }
+}
+
 /// A live span: records one observation at its path when dropped.
 #[must_use = "a span records its duration when dropped; binding to _ drops immediately"]
 pub struct SpanGuard {
@@ -599,6 +701,33 @@ mod tests {
         assert_eq!(snap.spans["bulk"].max_nanos, 0);
         assert_eq!(snap.gauges["rate"], 0.0);
         assert_eq!(snap.gauges["exact"], 4.0);
+    }
+
+    #[test]
+    fn lap_timer_splits_a_span_into_phase_children() {
+        let reg = MetricsRegistry::new();
+        let mut timer = reg.handle().lap_timer("loop", &["a", "b"]);
+        for _ in 0..3 {
+            timer.begin();
+            timer.lap(0);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            timer.lap(1);
+            timer.end();
+        }
+        timer.finish();
+        let snap = reg.snapshot();
+        let (parent, a, b) = (
+            &snap.spans["loop"],
+            &snap.spans["loop/a"],
+            &snap.spans["loop/b"],
+        );
+        assert_eq!((parent.count, a.count, b.count), (3, 3, 3));
+        // The phases partition the parent observation exactly.
+        assert_eq!(parent.total_nanos, a.total_nanos + b.total_nanos);
+        assert!(b.total_nanos >= 3_000_000, "slept phase {}", b.total_nanos);
+        // Without a closed observation nothing is registered.
+        reg.handle().lap_timer("idle", &["a"]).finish();
+        assert!(!reg.snapshot().spans.contains_key("idle"));
     }
 
     #[test]

@@ -247,8 +247,8 @@ pub struct SimConfig {
     /// switch allocation (true = canonical router; false models an
     /// idealized input-speedup-∞ switch for ablation).
     pub crossbar_input_limit: bool,
-    /// Telemetry window width in cycles (only read when a run is probed;
-    /// see `Network::run_probed`).
+    /// Telemetry window width in cycles (only read when a run has a probe
+    /// or a controller; see `Network::run_with`).
     pub telemetry_window: u64,
 }
 

@@ -76,9 +76,11 @@
 //! Configuration is validated at the boundary: [`SimConfig::builder`]
 //! (or a hand-mutated [`SimConfig`]) plus a [`TrafficSpec`] go into
 //! [`Network::new`], which returns a typed [`ConfigError`] instead of
-//! panicking on bad parameters. [`Network::run_probed`] streams windowed
-//! telemetry (`noc-telemetry` [`WindowRecord`]s) to any probe without
-//! perturbing the simulation; [`Network::run`] is the telemetry-off path.
+//! panicking on bad parameters. [`Network::run`] is the hook-free path;
+//! [`Network::run_with`] takes [`RunHooks`] — a probe receiving windowed
+//! telemetry (`noc-telemetry` [`WindowRecord`]s), a mid-run
+//! [`SwapController`] and a metrics handle — none of which perturbs the
+//! simulation.
 //!
 //! ```no_run
 //! use noc_model::Mesh;
@@ -110,6 +112,6 @@ pub mod traffic;
 pub use noc_telemetry as telemetry;
 
 pub use config::{ConfigError, InjectionProcess, RoutingKind, SimConfig, SimConfigBuilder};
-pub use network::{Network, SourceCounters, SwapController};
+pub use network::{Network, RunHooks, SourceCounters, SwapController};
 pub use stats::{LatencyAccum, SimReport};
 pub use traffic::{Schedule, SourceSpec, TrafficSpec};

@@ -23,14 +23,13 @@ use crate::config::{
 use crate::packet::{Flit, PacketId, PacketInfo, PacketStamps, FLIT_HEAD, FLIT_MEM, FLIT_TAIL};
 use crate::stats::SimReport;
 use crate::traffic::{SourceSpec, TrafficSpec};
-use noc_metrics::MetricsHandle;
+use noc_metrics::{LapTimer, MetricsHandle};
 use noc_model::{
     route_xy, route_xy_torus, route_yx, route_yx_torus, Mesh, PacketClass, RouteDir, TileId,
     Topology,
 };
 use noc_telemetry::{
-    FlowSummary, HeatmapRecord, LatencyAccum, NoopSink, PacketRecord, Probe, ProfileRecord,
-    WindowRecord, Windower,
+    FlowSummary, HeatmapRecord, LatencyAccum, NoopSink, PacketRecord, Probe, WindowRecord, Windower,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -295,15 +294,6 @@ struct FlowState {
     pending: Vec<PacketRecord>,
 }
 
-/// Wall-clock lap helper for the self-profiling hook: nanoseconds since
-/// `mark`, resetting the mark.
-fn lap(mark: &mut Instant) -> u64 {
-    let now = Instant::now();
-    let nanos = now.duration_since(*mark).as_nanos() as u64;
-    *mark = now;
-    nanos
-}
-
 /// A credit returned upstream once the per-router pass completes.
 enum Credit {
     Router {
@@ -371,8 +361,8 @@ pub struct Network {
     sources: Vec<SourceSpec>,
     /// Cumulative per-source, per-class measured-delivery accumulators
     /// for the [`SwapController`] ([`SourceCounters`]). Empty unless the
-    /// run was started through [`run_controlled`](Network::run_controlled),
-    /// so the plain path pays one never-taken branch per delivery.
+    /// run's [`RunHooks`] carry a controller, so the plain path pays one
+    /// never-taken branch per delivery.
     source_accum: Vec<SourceCounters>,
     /// Nearest memory controller per tile, precomputed.
     nearest_mc: Vec<TileId>,
@@ -399,20 +389,15 @@ pub struct Network {
     credits: Vec<Credit>,
     /// The current worklist snapshot (NIs, then routers).
     worklist: Vec<u32>,
-    /// Windowed telemetry accumulator. `None` unless the run was started
-    /// through [`run_probed`](Network::run_probed) with an enabled probe,
-    /// so the plain [`run`](Network::run) path pays one never-taken branch
-    /// per hook and stays bit-identical to the uninstrumented simulator.
+    /// Windowed telemetry accumulator. `None` unless the run's
+    /// [`RunHooks`] carry an enabled probe or a controller, so the plain
+    /// [`run`](Network::run) path pays one never-taken branch per hook and
+    /// stays bit-identical to the uninstrumented simulator.
     windower: Option<Windower>,
     /// Spatial/flow observability state. Same contract as
     /// [`windower`](Self::windower): `None` on the plain path, so every
     /// hook costs one never-taken branch when telemetry is off.
     flow: Option<Box<FlowState>>,
-    /// Accumulating wall-clock phase profile for the current telemetry
-    /// window. Populated only when the probe opts in via
-    /// `Probe::wants_profile` — the timings are nondeterministic and are
-    /// never fed back into simulation state.
-    profile: Option<Box<ProfileRecord>>,
     /// Pending `(cycle, source, class)` arrival events under
     /// [`InjectionProcess::Geometric`]; empty under Bernoulli. Ties pop in
     /// `(source, class)` order — the same order the per-cycle Bernoulli
@@ -423,22 +408,15 @@ pub struct Network {
     arrival_draws: u64,
     /// Cycles the event-horizon fast-forward jumped over.
     skipped_cycles: u64,
-    /// Write-only runtime metrics sink (DESIGN.md §17). Disabled by
-    /// default — every instrument then costs one never-taken branch —
-    /// and, enabled or not, it never feeds back into simulation state:
-    /// a fixed seed produces a bit-identical [`SimReport`] either way
-    /// (pinned by `tests/metrics.rs`).
-    metrics: MetricsHandle,
 }
 
-/// Wall-clock accumulator for the `sim/serial/cycle` metric span, kept
-/// out of `Network` so one run's timings never leak into the next.
-#[derive(Default)]
-struct CycleTimes {
-    nanos: u64,
-    count: u64,
-    max: u64,
-}
+/// The metric span timing each simulated cycle, and its children: one per
+/// datapath phase, indexed by the `PHASE_*` constants.
+const CYCLE_SPAN: &str = "sim/serial/cycle";
+const CYCLE_PHASES: [&str; 3] = ["inject", "route", "traverse"];
+const PHASE_INJECT: usize = 0;
+const PHASE_ROUTE: usize = 1;
+const PHASE_TRAVERSE: usize = 2;
 
 /// Class tag stored in arrival events (heap tuples order by it).
 const CLASS_CACHE: u8 = 0;
@@ -465,8 +443,8 @@ impl SourceCounters {
     }
 }
 
-/// Mid-run mapping-swap hook driven by [`Network::run_controlled`]
-/// (DESIGN.md §14.2).
+/// Mid-run mapping-swap hook of an observed run ([`RunHooks::controller`],
+/// DESIGN.md §14.2).
 ///
 /// The controller is invoked once per **flushed** telemetry window, at
 /// the cycle boundary where the window closed, with the completed
@@ -496,6 +474,47 @@ pub trait SwapController {
         record: &WindowRecord,
         per_source: &[SourceCounters],
     ) -> Option<Vec<noc_model::TileId>>;
+}
+
+/// What an observed run ([`Network::run_with`]) reports to and is steered
+/// by. Every hook is optional; the default carries none, which is the
+/// plain [`Network::run`].
+///
+/// All three observe without perturbing: a fixed seed produces a
+/// bit-identical [`SimReport`] whatever probe or metrics handle is
+/// attached (pinned by `tests/sim_determinism.rs` and `tests/metrics.rs`).
+/// Only a controller that retargets changes the run, deterministically.
+#[derive(Default)]
+pub struct RunHooks<'a> {
+    probe: Option<&'a mut dyn Probe>,
+    controller: Option<&'a mut dyn SwapController>,
+    metrics: MetricsHandle,
+}
+
+impl<'a> RunHooks<'a> {
+    /// Stream windowed telemetry and the end-of-run observability records
+    /// to `probe` (see [`Network::run_with`]).
+    pub fn probe(mut self, probe: &'a mut dyn Probe) -> Self {
+        self.probe = Some(probe);
+        self
+    }
+
+    /// Let `controller` observe every flushed telemetry window and
+    /// retarget the traffic sources at that boundary — the deterministic
+    /// mid-run mapping swap (DESIGN.md §14.2).
+    pub fn controller(mut self, controller: &'a mut dyn SwapController) -> Self {
+        self.controller = Some(controller);
+        self
+    }
+
+    /// Report into a runtime-metrics registry (DESIGN.md §17): the
+    /// `sim_*` run counters, the `sim_cycles_per_sec` gauge, and the
+    /// `sim/serial/cycle` span with its `inject`/`route`/`traverse`
+    /// children.
+    pub fn metrics(mut self, metrics: MetricsHandle) -> Self {
+        self.metrics = metrics;
+        self
+    }
 }
 
 /// Probe adapter for the controlled run: forwards every window to the
@@ -571,34 +590,23 @@ impl Network {
             worklist: Vec::new(),
             windower: None,
             flow: None,
-            profile: None,
             arrivals: BinaryHeap::new(),
             arrival_draws: 0,
             skipped_cycles: 0,
-            metrics: MetricsHandle::disabled(),
             cfg,
         })
     }
 
-    /// Attach a runtime-metrics handle (DESIGN.md §17). The run then
-    /// reports `sim_*` counters (cycles, injected/delivered packets,
-    /// link traversals, skipped cycles) and the `sim/serial/cycle` span.
-    /// Metrics are write-only observers: results stay bit-identical to
-    /// a run without the handle (the PR 2 purity contract).
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
     /// Run the configured warm-up + measurement + drain, returning the
-    /// report. Telemetry stays off (the [`NoopSink`] path).
+    /// report. No hooks: telemetry and metrics stay off.
     pub fn run(self) -> SimReport {
-        self.run_probed(&mut NoopSink)
+        self.run_with(RunHooks::default())
+            .expect("only a controller's retarget can fail, and there is none")
     }
 
-    /// Run with windowed telemetry delivered to `probe`.
+    /// Run with `hooks` attached: the one observed-run entry point.
     ///
-    /// When `probe.is_enabled()`, a [`WindowRecord`] is flushed to
+    /// With an enabled probe, a [`WindowRecord`] is flushed to
     /// [`Probe::on_window`] for every `cfg.telemetry_window`-cycle window
     /// (truncated at phase boundaries and at the end of the run — see
     /// `noc-telemetry`), and the run additionally produces the DESIGN.md
@@ -607,58 +615,36 @@ impl Network {
     /// [`HeatmapRecord`] (per-link/per-VC/per-router spatial counters over
     /// all phases), each delivered once at end of run. Probes that opt in
     /// via [`Probe::wants_packets`] also receive one [`PacketRecord`] per
-    /// delivered packet, and [`Probe::wants_profile`] adds per-window
-    /// wall-clock phase profiles ([`ProfileRecord`], nondeterministic).
-    /// The probe observes the simulation but never influences it: a fixed
-    /// seed produces a bit-identical [`SimReport`] whatever the probe
-    /// (pinned by `tests/sim_determinism.rs`).
+    /// delivered packet.
     ///
-    /// [`WindowRecord`]: noc_telemetry::WindowRecord
-    pub fn run_probed(self, probe: &mut dyn Probe) -> SimReport {
-        match self.run_inner(probe, None) {
-            Ok(report) => report,
-            // The only fallible step of a run is applying a controller's
-            // retarget vector; without a controller this arm cannot be
-            // reached, and the empty report keeps the path panic-free.
-            Err(_) => SimReport::new(0),
-        }
-    }
-
-    /// [`run_probed`](Self::run_probed) plus a [`SwapController`]
-    /// observing every flushed telemetry window and optionally
-    /// retargeting the traffic sources at that boundary — the
-    /// deterministic mid-run mapping swap (DESIGN.md §14.2).
-    ///
-    /// Windowed telemetry is collected even when the probe is disabled
-    /// (the controller needs it); the probe still receives records only
-    /// according to its own contract. Returns an error if the controller
-    /// produces an invalid retarget vector (wrong length, out-of-range
-    /// or duplicate tiles); the run is abandoned at that point.
-    ///
-    /// With a controller that never retargets, the report is
-    /// [semantically identical](SimReport::semantic_eq) to the unprobed
-    /// run: the extra windowing only changes how far the event-horizon
+    /// A controller observes every flushed window (windows are collected
+    /// even when the probe is disabled; the probe still receives records
+    /// only according to its own contract). If it produces an invalid
+    /// retarget vector (wrong length, out-of-range or duplicate tiles) the
+    /// run is abandoned at that point with the corresponding
+    /// [`ConfigError`] — the only way a run can fail. With a controller
+    /// that never retargets, the report is
+    /// [semantically identical](SimReport::semantic_eq) to the plain run:
+    /// the extra windowing only changes how far the event-horizon
     /// fast-forward may jump (`skipped_cycles`), never what is computed.
-    pub fn run_controlled(
-        self,
-        probe: &mut dyn Probe,
-        controller: &mut dyn SwapController,
-    ) -> Result<SimReport, ConfigError> {
-        self.run_inner(probe, Some(controller))
-    }
-
-    /// The warm-up + measurement + drain loop behind every run entry
-    /// point.
-    fn run_inner(
-        mut self,
-        probe: &mut dyn Probe,
-        mut controller: Option<&mut dyn SwapController>,
-    ) -> Result<SimReport, ConfigError> {
+    ///
+    /// The metrics handle's per-cycle [`LapTimer`] times every simulated
+    /// cycle and its inject/route/traverse phases; the run totals are
+    /// added once at the end.
+    pub fn run_with(mut self, hooks: RunHooks<'_>) -> Result<SimReport, ConfigError> {
+        let RunHooks {
+            probe,
+            mut controller,
+            metrics,
+        } = hooks;
+        let mut noop = NoopSink;
+        let probe: &mut dyn Probe = match probe {
+            Some(p) => p,
+            None => &mut noop,
+        };
         let ctx = self.step_ctx();
         let wall_start = Instant::now();
-        // `timed` hoists the metrics-handle check out of the cycle loop.
-        let mut times = CycleTimes::default();
-        let timed = self.metrics.enabled();
+        let mut timer = metrics.lap_timer(CYCLE_SPAN, &CYCLE_PHASES);
         if controller.is_some() {
             self.source_accum = vec![SourceCounters::default(); self.sources.len()];
         }
@@ -682,9 +668,6 @@ impl Network {
                 wants_packets: probe.wants_packets(),
                 pending: Vec::new(),
             }));
-            if probe.wants_profile() {
-                self.profile = Some(Box::new(ProfileRecord::default()));
-            }
         }
         let inject_end = self.cfg.warmup_cycles + self.cfg.measure_cycles;
         let drain_end = inject_end + self.cfg.max_drain_cycles;
@@ -692,10 +675,6 @@ impl Network {
         if geometric {
             self.seed_arrivals(inject_end);
         }
-        // Self-profiling lap mark, advanced after every timed section.
-        // `None` unless the probe opted into profiles, so the plain path
-        // takes no timestamps beyond the existing `wall_start`.
-        let mut mark: Option<Instant> = self.profile.as_ref().map(|_| Instant::now());
         let mut cycle = 0u64;
         while cycle < inject_end || (self.inflight_total > 0 && cycle < drain_end) {
             if cycle < inject_end {
@@ -705,20 +684,7 @@ impl Network {
                     self.generate(cycle);
                 }
             }
-            if let Some(m) = mark.as_mut() {
-                let nanos = lap(m);
-                if let Some(p) = self.profile.as_mut() {
-                    p.generate_nanos += nanos;
-                }
-            }
-            let t0 = timed.then(Instant::now);
-            self.cycle(cycle, &ctx, &mut mark);
-            if let Some(t) = t0 {
-                let nanos = t.elapsed().as_nanos() as u64;
-                times.nanos += nanos;
-                times.count += 1;
-                times.max = times.max.max(nanos);
-            }
+            self.cycle(cycle, &ctx, &mut timer);
             // `total_buffered` is maintained incrementally; sampling it here
             // (after deliveries are applied) matches the original
             // end-of-cycle scan point exactly.
@@ -731,12 +697,8 @@ impl Network {
                     probe.on_packet(&rec);
                 }
             }
-            let mut flushed_window_end = None;
             let mut retarget = None;
             if let Some(w) = self.windower.as_mut() {
-                // The current window's (truncation-aware) end, captured
-                // before `end_cycle` may flush it and move on.
-                let wend = w.current_window_end();
                 match controller.as_deref_mut() {
                     Some(ctrl) => {
                         // Tee the flush through a capture so the
@@ -752,9 +714,6 @@ impl Network {
                     }
                     None => w.end_cycle(cycle, self.total_buffered, self.live_packets, probe),
                 }
-                if cycle + 1 == wend {
-                    flushed_window_end = Some(wend);
-                }
             }
             // Apply a requested mapping swap exactly at the window
             // boundary: packets spawned from the next cycle on use the
@@ -762,26 +721,6 @@ impl Network {
             // spawn-time source and destination.
             if let Some(tiles) = retarget {
                 self.retarget_sources(&tiles)?;
-            }
-            if let Some(m) = mark.as_mut() {
-                let nanos = lap(m);
-                if let Some(p) = self.profile.as_mut() {
-                    p.telemetry_nanos += nanos;
-                }
-            }
-            // A window just flushed: emit its phase profile and start the
-            // next one on the same boundary.
-            if let Some(wend) = flushed_window_end {
-                if let Some(p) = self.profile.as_mut() {
-                    let mut rec = **p;
-                    rec.end_cycle = wend;
-                    **p = ProfileRecord {
-                        window_index: rec.window_index + 1,
-                        start_cycle: wend,
-                        ..ProfileRecord::default()
-                    };
-                    probe.on_profile(&rec);
-                }
             }
             cycle += 1;
             // Event-horizon fast-forward: with nothing in flight (no queued
@@ -811,15 +750,6 @@ impl Network {
         if let Some(w) = self.windower.take() {
             w.finish(cycle, self.total_buffered, self.live_packets, probe);
         }
-        // Final partial profile window (skipped when the last cycle closed
-        // a window exactly, leaving an empty accumulator behind).
-        if let Some(p) = self.profile.take() {
-            if p.start_cycle < cycle {
-                let mut rec = *p;
-                rec.end_cycle = cycle;
-                probe.on_profile(&rec);
-            }
-        }
         // End-of-run observability delivery: close the occupancy ledgers,
         // then flow summary before heatmap (documented order).
         if let Some(mut fl) = self.flow.take() {
@@ -845,10 +775,11 @@ impl Network {
         };
         // Flush run totals into the metrics registry (write-only; skipped
         // entirely when the handle is disabled). Durations route through
-        // `record_span` / `wall_gauge_set`, which the logical clock zeroes
+        // the lap timer / `wall_gauge_set`, which the logical clock zeroes
         // so fixed-seed snapshots stay byte-identical.
-        if self.metrics.enabled() {
-            let m = &self.metrics;
+        timer.finish();
+        if metrics.enabled() {
+            let m = &metrics;
             m.add("sim_runs_total", 1);
             m.add("sim_cycles_total", self.cycles_run);
             m.add("sim_injected_packets_total", self.report.injected);
@@ -861,9 +792,6 @@ impl Network {
                     "sim_cycles_per_sec",
                     self.cycles_run as f64 * 1e9 / wall as f64,
                 );
-            }
-            if times.count > 0 {
-                m.record_span("sim/serial/cycle", times.count, times.nanos, times.max);
             }
         }
         Ok(std::mem::replace(&mut self.report, SimReport::new(0)))
@@ -905,7 +833,9 @@ impl Network {
     /// then the router pass in ascending router order, each applying its
     /// effects as it goes; then the link transfers staged by the router
     /// pass (deliveries, then credits), which model the link latency.
-    fn cycle(&mut self, cycle: u64, ctx: &StepCtx, mark: &mut Option<Instant>) {
+    /// `timer` is charged one observation, split at the phase boundaries.
+    fn cycle(&mut self, cycle: u64, ctx: &StepCtx, timer: &mut LapTimer) {
+        timer.begin();
         // The fabric is moved out for the pass so one router can be held
         // mutably while the bookkeeping on `self` is updated.
         let mut fab = std::mem::take(&mut self.fabric);
@@ -920,12 +850,7 @@ impl Network {
                 fab.active_nis.remove(t);
             }
         }
-        if let Some(m) = mark.as_mut() {
-            let nanos = lap(m);
-            if let Some(p) = self.profile.as_mut() {
-                p.inject_nanos += nanos;
-            }
-        }
+        timer.lap(PHASE_INJECT);
         // Same-cycle activation: the router worklist is snapshotted after
         // injection, so a router woken by this cycle's own injected flit
         // is visited (a no-op unless `router_stages == 0` — the flit is
@@ -944,19 +869,10 @@ impl Network {
         }
         self.fabric = fab;
         self.worklist = ids;
-        if let Some(m) = mark.as_mut() {
-            let nanos = lap(m);
-            if let Some(p) = self.profile.as_mut() {
-                p.route_nanos += nanos;
-            }
-        }
+        timer.lap(PHASE_ROUTE);
         self.apply_transfers(cycle);
-        if let Some(m) = mark.as_mut() {
-            let nanos = lap(m);
-            if let Some(p) = self.profile.as_mut() {
-                p.traverse_nanos += nanos;
-            }
-        }
+        timer.lap(PHASE_TRAVERSE);
+        timer.end();
     }
 
     /// One NI's injection step: select a packet if idle, then push one flit
@@ -2089,7 +2005,8 @@ mod tests {
         let mut ring = RingSink::new(4096);
         let probed = Network::new(cfg.clone(), spec)
             .expect("config")
-            .run_probed(&mut ring);
+            .run_with(RunHooks::default().probe(&mut ring))
+            .expect("no controller");
         assert!(plain.semantic_eq(&probed), "probe perturbed the simulation");
         // Clamping at window boundaries may reduce the probed run's skip
         // tally, but never below zero or above the plain run's.
@@ -2130,7 +2047,8 @@ mod tests {
         let mut ring = RingSink::new(4096);
         let probed = Network::new(cfg.clone(), spec)
             .expect("config")
-            .run_probed(&mut ring);
+            .run_with(RunHooks::default().probe(&mut ring))
+            .expect("no controller");
         assert!(plain.semantic_eq(&probed), "probe perturbed the simulation");
         assert!(ring.dropped() == 0);
         let windows: Vec<_> = ring.windows().collect();

@@ -53,11 +53,6 @@ impl Mapper for HybridSssSa {
             .expect("a never-firing token cannot cancel the hybrid")
     }
 
-    fn map_probed(&self, inst: &ObmInstance, seed: u64, probe: &mut dyn Probe) -> Mapping {
-        self.map_cancellable(inst, seed, &CancelToken::never(), probe)
-            .expect("a never-firing token cannot cancel the hybrid")
-    }
-
     fn map_cancellable(
         &self,
         inst: &ObmInstance,

@@ -68,44 +68,35 @@ pub trait Mapper {
     /// Compute a thread-to-tile mapping.
     fn map(&self, inst: &ObmInstance, seed: u64) -> Mapping;
 
-    /// Like [`map`](Mapper::map), additionally streaming solver telemetry
-    /// ([`SolverEvent`](noc_telemetry::SolverEvent)s) to `probe`.
+    /// The instrumented entry point: like [`map`](Mapper::map),
+    /// additionally streaming solver telemetry
+    /// ([`SolverEvent`](noc_telemetry::SolverEvent)s) to `probe` and
+    /// polling a [`CancelToken`] so a deadline or an external cancel stops
+    /// the search early. Returns `None` when the token fired before a
+    /// result was produced; partial work is discarded (never a
+    /// half-optimized mapping), which is what keeps portfolio merges
+    /// deterministic. Pass [`CancelToken::never`] to trace an
+    /// uninterrupted search.
     ///
-    /// The probe must never influence the result: for any probe,
-    /// `map_probed(inst, seed, probe) == map(inst, seed)`. The default
-    /// implementation emits nothing, so existing mappers are unaffected;
-    /// instrumented mappers ([`SortSelectSwap`], [`SimulatedAnnealing`])
-    /// override it and route `map` through a
-    /// [`NoopSink`](noc_telemetry::NoopSink).
-    fn map_probed(&self, inst: &ObmInstance, seed: u64, probe: &mut dyn Probe) -> Mapping {
-        let _ = probe;
-        self.map(inst, seed)
-    }
-
-    /// Like [`map_probed`](Mapper::map_probed), additionally polling a
-    /// [`CancelToken`] so a deadline or an external cancel stops the
-    /// search early. Returns `None` when the token fired before a result
-    /// was produced; partial work is discarded (never a half-optimized
-    /// mapping), which is what keeps portfolio merges deterministic.
-    ///
-    /// The token contract mirrors the probe contract: a token that never
-    /// fires must not perturb the search — `map_cancellable(inst, seed,
-    /// &CancelToken::never(), probe) == Some(map(inst, seed))` bit-for-bit.
-    /// The default implementation checks once up front and then runs to
-    /// completion; long-running mappers ([`SimulatedAnnealing`],
-    /// [`MonteCarlo`], [`HybridSssSa`], [`SortSelectSwap`]) override it to
-    /// poll inside their inner loops.
+    /// Neither hook may influence the result: for any probe,
+    /// `map_cancellable(inst, seed, &CancelToken::never(), probe) ==
+    /// Some(map(inst, seed))` bit-for-bit. The default implementation
+    /// checks the token once up front, runs [`map`](Mapper::map) and emits
+    /// nothing; instrumented or long-running mappers
+    /// ([`SortSelectSwap`], [`SimulatedAnnealing`], [`HybridSssSa`],
+    /// [`MonteCarlo`]) override it to emit events and to poll inside
+    /// their inner loops.
     fn map_cancellable(
         &self,
         inst: &ObmInstance,
         seed: u64,
         token: &CancelToken,
-        probe: &mut dyn Probe,
+        _probe: &mut dyn Probe,
     ) -> Option<Mapping> {
         if token.is_cancelled() {
             return None;
         }
-        Some(self.map_probed(inst, seed, probe))
+        Some(self.map(inst, seed))
     }
 
     /// Compute a mapping optimized for an arbitrary [`Objective`].
@@ -174,9 +165,10 @@ pub(crate) const PERMS4: [[usize; 4]; 24] = [
 #[cfg(test)]
 mod tests {
     use super::{Global, Mapper, PERMS4};
+    use crate::cancel::CancelToken;
 
     #[test]
-    fn default_map_probed_delegates_to_map() {
+    fn default_map_cancellable_delegates_to_map() {
         use noc_model::{LatencyParams, MemoryControllers, Mesh, TileLatencies};
         use noc_telemetry::RingSink;
         let mesh = Mesh::square(4);
@@ -184,9 +176,12 @@ mod tests {
         let tiles = TileLatencies::compute(&mesh, &mcs, LatencyParams::fig5_example());
         let c: Vec<f64> = (0..4).flat_map(|_| [0.1, 0.2, 0.3, 0.4]).collect();
         let inst = crate::problem::ObmInstance::new(tiles, vec![0, 4, 8, 12, 16], c, vec![0.0; 16]);
-        // Global does not override map_probed: same result, no events.
+        // Global does not override map_cancellable: same result, no events.
         let mut sink = RingSink::new(8);
-        assert_eq!(Global.map_probed(&inst, 0, &mut sink), Global.map(&inst, 0));
+        assert_eq!(
+            Global.map_cancellable(&inst, 0, &CancelToken::never(), &mut sink),
+            Some(Global.map(&inst, 0))
+        );
         assert_eq!(sink.len(), 0);
     }
 

@@ -97,11 +97,7 @@ impl Mapper for SimulatedAnnealing {
     }
 
     fn map(&self, inst: &ObmInstance, seed: u64) -> Mapping {
-        self.map_probed(inst, seed, &mut NoopSink)
-    }
-
-    fn map_probed(&self, inst: &ObmInstance, seed: u64, probe: &mut dyn Probe) -> Mapping {
-        self.map_cancellable(inst, seed, &CancelToken::never(), probe)
+        self.map_cancellable(inst, seed, &CancelToken::never(), &mut NoopSink)
             .expect("a never-firing token cannot cancel the anneal")
     }
 
@@ -314,8 +310,8 @@ mod tests {
         let inst = inst();
         let sa = SimulatedAnnealing::with_iterations(1_000);
         let mut sink = RingSink::new(4096);
-        let probed = sa.map_probed(&inst, 4, &mut sink);
-        assert_eq!(probed, sa.map(&inst, 4), "probe perturbed the anneal");
+        let probed = sa.map_cancellable(&inst, 4, &CancelToken::never(), &mut sink);
+        assert_eq!(probed, Some(sa.map(&inst, 4)), "probe perturbed the anneal");
         let steps: Vec<_> = sink
             .solver_events()
             .filter_map(|e| match e {
@@ -351,8 +347,8 @@ mod tests {
             ..SimulatedAnnealing::with_iterations(500)
         };
         let mut sink = RingSink::new(64);
-        let probed = sa.map_probed(&inst, 1, &mut sink);
-        assert_eq!(probed, sa.map(&inst, 1));
+        let probed = sa.map_cancellable(&inst, 1, &CancelToken::never(), &mut sink);
+        assert_eq!(probed, Some(sa.map(&inst, 1)));
         assert_eq!(sink.len(), 0, "parallel restarts must not emit events");
     }
 

@@ -75,11 +75,7 @@ impl Mapper for SortSelectSwap {
     }
 
     fn map(&self, inst: &ObmInstance, seed: u64) -> Mapping {
-        self.map_probed(inst, seed, &mut NoopSink)
-    }
-
-    fn map_probed(&self, inst: &ObmInstance, seed: u64, probe: &mut dyn Probe) -> Mapping {
-        self.map_cancellable(inst, seed, &CancelToken::never(), probe)
+        self.map_cancellable(inst, seed, &CancelToken::never(), &mut NoopSink)
             .expect("a never-firing token cannot cancel SSS")
     }
 
@@ -590,8 +586,8 @@ mod tests {
         let sss = SortSelectSwap::default();
         let plain = sss.map(&inst, 0);
         let mut sink = RingSink::new(1 << 16);
-        let probed = sss.map_probed(&inst, 0, &mut sink);
-        assert_eq!(plain, probed, "probe perturbed the search");
+        let probed = sss.map_cancellable(&inst, 0, &CancelToken::never(), &mut sink);
+        assert_eq!(Some(plain), probed, "probe perturbed the search");
         assert_eq!(sink.dropped(), 0);
         let mut swaps = 0usize;
         let mut deltas = 0usize;

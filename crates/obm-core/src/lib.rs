@@ -4,12 +4,12 @@
 //!
 //! * [`problem`] — the OBM instance (Section III.B) and thread-to-tile
 //!   mappings;
-//! * [`eval`] — per-application APL (Eq. 5), max-APL/dev-APL/g-APL metrics,
-//!   and an incremental evaluator for local-search algorithms;
+//! * [`eval`] — per-application APL (Eq. 5), the max-APL/dev-APL/g-APL
+//!   balance metrics of Section III.A, and an incremental evaluator for
+//!   local-search algorithms;
 //! * [`batch`] — the flat SoA evaluation tables (precomputed Eq. 13 cost
 //!   matrix) every solver hot path reads, and the batched
 //!   [`BatchEvaluator`] with its deterministic parallel `eval_many`;
-//! * [`metrics`] — the balance-metric comparison of Section III.A;
 //! * [`sam`] — the Hungarian-based single-application solve (Algorithm 1);
 //! * [`algorithms`] — the proposed [`algorithms::SortSelectSwap`]
 //!   (Algorithm 2) plus the paper's comparison algorithms
@@ -34,15 +34,14 @@
 //!   search over memory-controller [`ChipLayout`](noc_model::ChipLayout)s
 //!   with the OBM solver in the inner loop (DESIGN.md §15).
 //!
-//! Every [`Mapper`] also has a [`Mapper::map_probed`] entry point that
-//! streams solver telemetry (`noc-telemetry`
-//! [`SolverEvent`](noc_telemetry::SolverEvent)s — accepted SSS window
-//! swaps, SA temperature checkpoints, incremental-evaluation deltas) to a
-//! caller-supplied probe without perturbing the search, and a
-//! [`Mapper::map_cancellable`] entry point ([`cancel`]) that additionally
-//! polls a [`CancelToken`] so deadlines and external cancellation stop
-//! long searches early — the foundation of the `obm-portfolio` parallel
-//! solver-portfolio engine.
+//! Every [`Mapper`] also has one instrumented entry point,
+//! [`Mapper::map_cancellable`], that streams solver telemetry
+//! (`noc-telemetry` [`SolverEvent`](noc_telemetry::SolverEvent)s —
+//! accepted SSS window swaps, SA temperature checkpoints,
+//! incremental-evaluation deltas) to a caller-supplied probe without
+//! perturbing the search, and polls a [`CancelToken`] ([`cancel`]) so
+//! deadlines and external cancellation stop long searches early — the
+//! foundation of the `obm-portfolio` parallel solver-portfolio engine.
 //!
 //! # Quick example
 //!
@@ -69,7 +68,6 @@ pub mod bridge;
 pub mod cancel;
 pub mod dynamic;
 pub mod eval;
-pub mod metrics;
 pub mod objective;
 pub mod oversub;
 pub mod placement;
@@ -85,7 +83,6 @@ pub use bridge::{piecewise_traffic_spec, traffic_spec};
 pub use cancel::CancelToken;
 pub use dynamic::RemapOutcome;
 pub use eval::{evaluate, AplReport, IncrementalEvaluator};
-pub use metrics::BalanceMetric;
 pub use objective::{
     migration_distance, refine_for_objective, threads_moved, Energy, MaxMinBalance,
     MigrationPenalized, MinMaxApl, Objective, ObjectiveSpec,

@@ -3,7 +3,7 @@
 //! drift — made executable against the simulator's own telemetry.
 //!
 //! [`RemapController`] implements [`noc_sim::SwapController`]: plugged
-//! into [`Network::run_controlled`](noc_sim::Network::run_controlled) it
+//! into a run's hooks ([`RunHooks::controller`](noc_sim::RunHooks::controller)) it
 //! observes every flushed measurement window, re-estimates per-thread
 //! request rates from the per-source packet counters, detects when a
 //! realized per-application APL drifts past a configurable threshold
@@ -250,7 +250,7 @@ impl RemapController {
     /// accept/reject outcomes, records migrated-thread counts in the
     /// `remap_migrated_threads` histogram, and times each re-solve under
     /// the `remap/resolve` span. Metrics never influence its decisions.
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
+    pub fn metrics(mut self, metrics: MetricsHandle) -> Self {
         self.metrics = metrics;
         self
     }

@@ -33,7 +33,8 @@ fn main() {
     println!("== simulating 20k cycles of C1 traffic under a spatial probe…");
     let report = Network::new(cfg, traffic_spec(&inst, &mapping))
         .expect("valid scenario")
-        .run_probed(&mut sink);
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
 
     let heat = sink
         .heatmaps()

@@ -8,7 +8,7 @@
 //!    arrival-time mapping strands the now-memory-bound app far from
 //!    the controller;
 //! 3. **remap** — a [`RemapController`] plugged into
-//!    `Network::run_controlled` watches the windowed telemetry,
+//!    `Network::run_with` (as a hook) watches the windowed telemetry,
 //!    detects the per-app APL drift, re-solves warm-started from the
 //!    incumbent under a migration-penalized objective and swaps the
 //!    mapping at a window boundary, without draining the network;
@@ -114,7 +114,7 @@ fn main() {
         RemapController::new(e1.clone(), admitted.mapping.clone(), mesh).expect("valid controller");
     let controlled_report = Network::new(cfg, traffic(&admitted.mapping))
         .expect("valid scenario")
-        .run_controlled(&mut NoopSink, &mut ctrl)
+        .run_with(RunHooks::default().controller(&mut ctrl))
         .expect("controller produces valid retargets");
     let controlled_apl = max_group_apl(&controlled_report);
     for ev in ctrl.events() {

@@ -72,8 +72,8 @@ fn main() {
 
     // -- simulator: seeded run with the registry attached ----------------
     let report = scenario(mesh, &outcome.mapping, &inst, 42)
-        .with_metrics(metrics.clone())
-        .run();
+        .run_with(RunHooks::default().metrics(metrics.clone()))
+        .expect("a run without a controller cannot fail");
     println!(
         "simulator: {} cycles, {}/{} packets, simulated g-APL {:.3}",
         report.network.cycles_run,
@@ -101,9 +101,9 @@ fn main() {
         RemapConfig::default(),
     )
     .expect("valid controller")
-    .with_metrics(metrics.clone());
+    .metrics(metrics.clone());
     scenario(mesh, &outcome.mapping, &inst, 7)
-        .run_controlled(&mut NoopSink, &mut ctrl)
+        .run_with(RunHooks::default().controller(&mut ctrl))
         .expect("controlled run succeeds");
     println!(
         "remap: {} window(s) observed, {} re-solve(s), {} remap(s)",

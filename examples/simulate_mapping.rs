@@ -25,7 +25,8 @@ fn simulate(inst: &ObmInstance, mapping: &Mapping, seed: u64) -> (SimReport, usi
     let mut sink = RingSink::new(4096);
     let report = Network::new(cfg, traffic_spec(inst, mapping))
         .expect("valid scenario")
-        .run_probed(&mut sink);
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     let peak_buffered = sink
         .windows()
         .filter(|w| w.phase == Phase::Measure)

@@ -37,7 +37,9 @@
 #                         the metrics surface (`--metrics` on simulate/
 #                         solve + `obm status`) is smoke-tested the same
 #                         way: family and span grep on the Prometheus
-#                         text and byte-determinism across two same-seed runs
+#                         text (the simulator's cycle span and its
+#                         inject/route/traverse children) and
+#                         byte-determinism across two same-seed runs
 #                         under OBM_METRICS_CLOCK=logical
 #   6b. bench gate       — `bench_compare.sh BENCH_PR9.json
 #                         BENCH_PR10.json` guards the simulator hot
@@ -207,8 +209,11 @@ for family in sim_runs_total sim_cycles_total sim_injected_packets_total \
     grep -q "^$family " "$smokedir/sim.prom" \
         || { echo "metrics family $family missing from simulate snapshot"; exit 1; }
 done
-grep -q 'span="sim/serial/cycle"' "$smokedir/sim.prom" \
-    || { echo "span sim/serial/cycle missing from simulate snapshot"; exit 1; }
+for span in sim/serial/cycle sim/serial/cycle/inject sim/serial/cycle/route \
+    sim/serial/cycle/traverse; do
+    grep -q "span=\"$span\"" "$smokedir/sim.prom" \
+        || { echo "span $span missing from simulate snapshot"; exit 1; }
+done
 OBM_METRICS_CLOCK=logical "$obm" solve "$smokedir/c1.spec" --algos sss,greedy \
     --seeds 0 --metrics "$smokedir/solve.prom" >/dev/null
 for family in portfolio_solves_total portfolio_tasks_total \

@@ -80,13 +80,12 @@ pub mod prelude {
         SolveRequest, SolveStats, Termination,
     };
     pub use crate::sim::{
-        ConfigError, Network, Schedule, SimConfig, SimConfigBuilder, SimReport, SourceCounters,
-        SourceSpec, SwapController, TrafficSpec,
+        ConfigError, Network, RunHooks, Schedule, SimConfig, SimConfigBuilder, SimReport,
+        SourceCounters, SourceSpec, SwapController, TrafficSpec,
     };
     pub use crate::telemetry::{
         FlowSummary, HeatmapRecord, JsonLinesSink, LatencyAccum, LatencyHistogram, NoopSink,
-        PacketRecord, Phase, Probe, ProfileRecord, Record, RingSink, Sink, SolverEvent,
-        WindowRecord,
+        PacketRecord, Phase, Probe, Record, RingSink, Sink, SolverEvent, WindowRecord,
     };
     pub use crate::workload::{PaperConfig, WorkloadBuilder};
 }

@@ -12,7 +12,7 @@ use obm::mapping::algorithms::{
     BalancedGreedy, BranchAndBound, Global, HybridSssSa, Mapper, MonteCarlo, RandomMapper,
     SimulatedAnnealing, SortSelectSwap,
 };
-use obm::mapping::{evaluate, BatchEvaluator, Mapping, ObmInstance};
+use obm::mapping::{evaluate, BatchEvaluator, CancelToken, Mapping, ObmInstance};
 use obm::model::{LatencyParams, MemoryControllers, Mesh, TileLatencies};
 use obm::workload::{PaperConfig, WorkloadBuilder};
 use proptest::prelude::*;
@@ -214,8 +214,8 @@ fn golden_sss_c1_event_stream() {
     use obm::telemetry::{RingSink, SolverEvent};
     let c1 = c1_instance();
     let mut sink = RingSink::new(1 << 16);
-    let m = SortSelectSwap::default().map_probed(&c1, 0, &mut sink);
-    assert_eq!(m, SortSelectSwap::default().map(&c1, 0));
+    let m = SortSelectSwap::default().map_cancellable(&c1, 0, &CancelToken::never(), &mut sink);
+    assert_eq!(m, Some(SortSelectSwap::default().map(&c1, 0)));
     assert_eq!(sink.dropped(), 0);
     let mut swaps = 0usize;
     let mut last_edits = 0u64;

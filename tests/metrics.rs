@@ -92,8 +92,8 @@ proptest! {
         let off = network(seed, cache_rate, mem_rate, geometric).run();
         let registry = MetricsRegistry::new();
         let on = network(seed, cache_rate, mem_rate, geometric)
-            .with_metrics(registry.handle())
-            .run();
+            .run_with(RunHooks::default().metrics(registry.handle()))
+            .expect("a run without a controller cannot fail");
         prop_assert!(off.semantic_eq(&on), "metrics perturbed the simulation");
         // semantic_eq is bit-for-bit on the accumulators; spot-check the
         // per-class/per-source breakdowns too.
@@ -114,8 +114,30 @@ proptest! {
             on.network.link_flit_traversals
         );
         prop_assert_eq!(counter("sim_skipped_cycles_total"), on.network.skipped_cycles);
+
+        // One cycle-span observation per executed (not fast-forwarded)
+        // cycle, and one per phase child; the phases partition the cycle.
+        let snap = registry.snapshot();
+        let cycle = &snap.spans[CYCLE_SPAN];
+        prop_assert_eq!(cycle.count, on.network.cycles_run - on.network.skipped_cycles);
+        let mut phase_nanos = 0;
+        for path in CYCLE_PHASE_SPANS {
+            let phase = &snap.spans[path];
+            prop_assert_eq!(phase.count, cycle.count, "{}", path);
+            prop_assert!(phase.max_nanos <= cycle.max_nanos, "{}", path);
+            phase_nanos += phase.total_nanos;
+        }
+        prop_assert_eq!(phase_nanos, cycle.total_nanos);
     }
 }
+
+/// The simulator's per-cycle span and its datapath-phase children.
+const CYCLE_SPAN: &str = "sim/serial/cycle";
+const CYCLE_PHASE_SPANS: [&str; 3] = [
+    "sim/serial/cycle/inject",
+    "sim/serial/cycle/route",
+    "sim/serial/cycle/traverse",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -163,8 +185,8 @@ proptest! {
 fn full_snapshot() -> MetricsSnapshot {
     let registry = MetricsRegistry::with_clock(ClockMode::Logical);
     network(42, 0.02, 0.004, false)
-        .with_metrics(registry.handle())
-        .run();
+        .run_with(RunHooks::default().metrics(registry.handle()))
+        .expect("a run without a controller cannot fail");
     let rates: Vec<f64> = (1..=16).map(|i| i as f64 * 0.5).collect();
     solve(&instance(&rates), Some(registry.handle()));
     registry.snapshot()
@@ -217,6 +239,15 @@ fn snapshots_round_trip_through_both_formats() {
 fn logical_clock_snapshots_are_byte_deterministic() {
     let a = full_snapshot();
     let b = full_snapshot();
+    // The phase children are part of the deterministic tree: same count
+    // as the cycle span, durations zeroed.
+    let cycle = &a.spans[CYCLE_SPAN];
+    assert!(cycle.count > 0);
+    for path in CYCLE_PHASE_SPANS {
+        let phase = &a.spans[path];
+        assert_eq!(phase.count, cycle.count, "{path}");
+        assert_eq!((phase.total_nanos, phase.max_nanos), (0, 0), "{path}");
+    }
     assert_eq!(a.to_prometheus(), b.to_prometheus());
     assert_eq!(a.to_json_lines(), b.to_json_lines());
 }

@@ -66,14 +66,14 @@ fn max_group_apl(report: &SimReport) -> f64 {
 
 /// Run the drifting scenario under the controller; returns the report
 /// and the controller (with its event log and final mapping).
-fn run_controlled_drift() -> (SimReport, RemapController) {
+fn controlled_drift_run() -> (SimReport, RemapController) {
     let (e1, e2, mesh) = drift_epochs();
     let mapping = SortSelectSwap::default().map(&e1, 0);
     let traffic = drift_traffic(&e1, &e2, &mapping);
     let mut ctrl = RemapController::new(e1.clone(), mapping, mesh).expect("valid controller");
     let report = Network::new(drift_config(mesh), traffic)
         .expect("valid scenario")
-        .run_controlled(&mut NoopSink, &mut ctrl)
+        .run_with(RunHooks::default().controller(&mut ctrl))
         .expect("controller produces valid retargets");
     (report, ctrl)
 }
@@ -89,7 +89,7 @@ fn controller_beats_static_mapping_on_drifting_workload() {
     let static_report = Network::new(drift_config(mesh), drift_traffic(&e1, &e2, &mapping))
         .expect("valid scenario")
         .run();
-    let (controlled_report, ctrl) = run_controlled_drift();
+    let (controlled_report, ctrl) = controlled_drift_run();
 
     let static_apl = max_group_apl(&static_report);
     let controlled_apl = max_group_apl(&controlled_report);
@@ -122,8 +122,8 @@ fn controller_beats_static_mapping_on_drifting_workload() {
 /// report on a re-run.
 #[test]
 fn controlled_run_is_deterministic_and_pinned() {
-    let (first_report, first_ctrl) = run_controlled_drift();
-    let (second_report, second_ctrl) = run_controlled_drift();
+    let (first_report, first_ctrl) = controlled_drift_run();
+    let (second_report, second_ctrl) = controlled_drift_run();
 
     assert_eq!(first_ctrl.events(), second_ctrl.events());
     assert_eq!(
@@ -180,7 +180,7 @@ fn steady_traffic_is_left_untouched() {
         RemapController::new(e1.clone(), mapping.clone(), mesh).expect("valid controller");
     let controlled = Network::new(cfg, traffic())
         .expect("valid scenario")
-        .run_controlled(&mut NoopSink, &mut ctrl)
+        .run_with(RunHooks::default().controller(&mut ctrl))
         .expect("no retarget can fail");
 
     assert_eq!(ctrl.remap_count(), 0, "steady traffic must not remap");
@@ -218,7 +218,7 @@ fn malformed_retargets_abort_the_run() {
         let mut ctrl = BadRetarget(Some(tiles));
         Network::new(drift_config(mesh), traffic_spec(&e1, &mapping))
             .expect("valid scenario")
-            .run_controlled(&mut NoopSink, &mut ctrl)
+            .run_with(RunHooks::default().controller(&mut ctrl))
     };
 
     assert!(matches!(

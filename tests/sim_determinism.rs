@@ -18,7 +18,7 @@
 
 use obm::model::{ChipLayout, MemoryControllers, Mesh, TileId, Topology};
 use obm::sim::{
-    ConfigError, InjectionProcess, Network, RoutingKind, Schedule, SimConfig, SimReport,
+    ConfigError, InjectionProcess, Network, RoutingKind, RunHooks, Schedule, SimConfig, SimReport,
     SourceCounters, SourceSpec, SwapController, TrafficSpec,
 };
 use obm::telemetry::{NoopSink, Phase, RingSink, WindowRecord};
@@ -106,7 +106,9 @@ fn pinned_golden_small_scenario() {
 #[test]
 fn probed_runs_reproduce_the_golden_report() {
     let golden = small_scenario();
-    let noop = small_scenario_network().run_probed(&mut NoopSink);
+    let noop = small_scenario_network()
+        .run_with(RunHooks::default().probe(&mut NoopSink))
+        .expect("a run without a controller cannot fail");
     assert!(
         golden.semantic_eq(&noop),
         "NoopSink run diverged from the golden report"
@@ -115,7 +117,9 @@ fn probed_runs_reproduce_the_golden_report() {
     assert_eq!(noop.network.link_flit_traversals, 9_592);
 
     let mut sink = RingSink::new(1024);
-    let probed = small_scenario_network().run_probed(&mut sink);
+    let probed = small_scenario_network()
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     assert!(
         golden.semantic_eq(&probed),
         "RingSink run diverged from the golden report"
@@ -130,7 +134,9 @@ fn probed_runs_reproduce_the_golden_report() {
 #[test]
 fn ring_sink_windows_truncate_at_phase_boundaries() {
     let mut sink = RingSink::new(1024);
-    let report = small_scenario_network().run_probed(&mut sink);
+    let report = small_scenario_network()
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     assert_eq!(report.network.cycles_run, 3_520);
     assert_eq!(sink.dropped(), 0);
     let spans: Vec<(u64, u64, Phase)> = sink
@@ -260,10 +266,14 @@ fn pinned_golden_geometric_small_scenario() {
     // Two geometric runs of the same seed are bit-identical, probed or not.
     let again = geometric_small_scenario_network().run();
     assert!(r.semantic_eq(&again), "geometric seeded runs diverged");
-    let probed = geometric_small_scenario_network().run_probed(&mut NoopSink);
+    let probed = geometric_small_scenario_network()
+        .run_with(RunHooks::default().probe(&mut NoopSink))
+        .expect("a run without a controller cannot fail");
     assert!(r.semantic_eq(&probed), "NoopSink diverged under Geometric");
     let mut sink = RingSink::new(1024);
-    let ringed = geometric_small_scenario_network().run_probed(&mut sink);
+    let ringed = geometric_small_scenario_network()
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     assert!(r.semantic_eq(&ringed), "RingSink diverged under Geometric");
 }
 
@@ -292,7 +302,8 @@ fn geometric_windows_stay_exact_across_skipped_regions() {
     let mut sink = RingSink::new(1024);
     let r = Network::new(cfg, traffic)
         .expect("valid config")
-        .run_probed(&mut sink);
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     // Pinned: 3 arrivals total (2 in warmup), the run ends exactly at the
     // injection horizon, and the vast majority of cycles were skipped.
     assert_eq!(r.injected, 1);
@@ -346,7 +357,8 @@ fn geometric_piecewise_epoch_boundaries_are_exact() {
     let mut sink = RingSink::new(1024);
     let r = Network::new(cfg, traffic)
         .expect("valid config")
-        .run_probed(&mut sink);
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     assert_eq!(r.injected, 106);
     assert_eq!(r.delivered, 106);
     assert_eq!(r.network.cycles_run, 4_004);
@@ -377,7 +389,9 @@ fn geometric_piecewise_epoch_boundaries_are_exact() {
 #[test]
 fn pinned_decomposition_identity_on_golden_scenario() {
     let mut sink = RingSink::new(65_536).with_packets();
-    let r = small_scenario_network().run_probed(&mut sink);
+    let r = small_scenario_network()
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     assert!(r.semantic_eq(&small_scenario()), "packet probe perturbed");
 
     let packets: Vec<_> = sink.packets().copied().collect();
@@ -426,7 +440,9 @@ fn pinned_decomposition_identity_on_golden_scenario() {
 #[test]
 fn pinned_heatmap_link_conservation_both_injection_modes() {
     let mut sink = RingSink::new(1_024);
-    let r = small_scenario_network().run_probed(&mut sink);
+    let r = small_scenario_network()
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     let heat = sink.heatmaps().next().expect("heatmap emitted");
     assert_eq!(r.network.link_flit_traversals, 9_592);
     assert_eq!(heat.total_link_flits(), 9_592);
@@ -436,7 +452,9 @@ fn pinned_heatmap_link_conservation_both_injection_modes() {
     assert_eq!(heat.ascii_mesh(), heat.ascii_mesh());
 
     let mut sink = RingSink::new(1_024);
-    let r = geometric_small_scenario_network().run_probed(&mut sink);
+    let r = geometric_small_scenario_network()
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     let heat = sink.heatmaps().next().expect("heatmap emitted");
     assert_eq!(r.network.link_flit_traversals, 10_325);
     assert_eq!(heat.total_link_flits(), 10_325);
@@ -451,33 +469,6 @@ fn pinned_heatmap_link_conservation_both_injection_modes() {
         let total: u64 = stalls.iter().sum();
         assert!(total <= heat.cycles * n_routers);
     }
-}
-
-/// Wall-clock profile records are opt-in observers: a `with_profile`
-/// probe must not perturb the golden semantics, and the profiled windows
-/// must tile the run exactly like the telemetry windows do.
-#[test]
-fn profile_records_cover_run_without_perturbing_it() {
-    let mut sink = RingSink::new(1_024).with_profile();
-    let r = small_scenario_network().run_probed(&mut sink);
-    assert!(
-        r.semantic_eq(&small_scenario()),
-        "profile probe perturbed the run"
-    );
-    let profiles: Vec<_> = sink.profiles().copied().collect();
-    let windows: Vec<_> = sink.windows().cloned().collect();
-    assert_eq!(profiles.len(), windows.len());
-    for (p, w) in profiles.iter().zip(&windows) {
-        assert_eq!(p.window_index, w.index);
-        assert_eq!(p.start_cycle, w.start_cycle);
-        assert_eq!(p.end_cycle, w.end_cycle);
-    }
-    // Wall time was actually measured somewhere in the run.
-    assert!(profiles.iter().map(|p| p.total_nanos()).sum::<u64>() > 0);
-    // A probe that does NOT opt in receives no profile records.
-    let mut plain = RingSink::new(1_024);
-    small_scenario_network().run_probed(&mut plain);
-    assert_eq!(plain.profiles().count(), 0);
 }
 
 /// Nearest-rank quantile on a plain sorted vector — the reference the
@@ -517,7 +508,7 @@ proptest! {
             .collect();
         let traffic = TrafficSpec::new(sources, 2).expect("valid traffic");
         let mut sink = RingSink::new(65_536).with_packets();
-        let r = Network::new(cfg, traffic).expect("valid config").run_probed(&mut sink);
+        let r = Network::new(cfg, traffic).expect("valid config").run_with(RunHooks::default().probe(&mut sink)).expect("a run without a controller cannot fail");
         prop_assert!(r.fully_drained);
 
         let mut raw: Vec<u64> = sink
@@ -587,7 +578,7 @@ proptest! {
             .collect();
         let traffic = TrafficSpec::new(sources, 2).expect("valid traffic");
         let mut sink = RingSink::new(4_096);
-        let r = Network::new(cfg, traffic).expect("valid config").run_probed(&mut sink);
+        let r = Network::new(cfg, traffic).expect("valid config").run_with(RunHooks::default().probe(&mut sink)).expect("a run without a controller cannot fail");
         prop_assert!(r.fully_drained);
         let heat = sink.heatmaps().next().expect("heatmap emitted");
         prop_assert_eq!(heat.total_link_flits(), r.network.link_flit_traversals);
@@ -758,7 +749,9 @@ fn torus_yx_8x8_network() -> Network {
 #[test]
 fn pinned_golden_torus_yx_probed_run() {
     let mut sink = RingSink::new(65_536).with_packets();
-    let r = torus_yx_8x8_network().run_probed(&mut sink);
+    let r = torus_yx_8x8_network()
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     assert_eq!(sink.dropped(), 0);
     assert!(r.fully_drained);
     assert_eq!(r.injected, 1_000);
@@ -778,7 +771,9 @@ fn pinned_golden_torus_yx_probed_run() {
 fn torus_yx_probed_run_matches_unprobed() {
     let plain = torus_yx_8x8_network().run();
     let mut sink = RingSink::new(65_536).with_packets();
-    let probed = torus_yx_8x8_network().run_probed(&mut sink);
+    let probed = torus_yx_8x8_network()
+        .run_with(RunHooks::default().probe(&mut sink))
+        .expect("a run without a controller cannot fail");
     assert!(plain.semantic_eq(&probed), "probe perturbed the torus run");
     assert_eq!(plain.per_source, probed.per_source);
     assert_eq!(plain.network.skipped_cycles, probed.network.skipped_cycles);
@@ -831,7 +826,7 @@ fn pinned_golden_controlled_run() {
     };
     let r = Network::new(cfg, traffic)
         .expect("valid config")
-        .run_controlled(&mut sink, &mut ctrl)
+        .run_with(RunHooks::default().probe(&mut sink).controller(&mut ctrl))
         .expect("controlled run");
     assert_eq!(sink.dropped(), 0);
     assert!(ctrl.windows_seen >= 2, "the swap must have been applied");
