@@ -1,6 +1,6 @@
 //! One criterion benchmark per table/figure of the paper: each measures
 //! the computational kernel that regenerates the artifact (the printable
-//! rows come from `cargo run -p obm-bench --bin experiments`).
+//! rows come from `cargo run -p obm-cli -- experiments <id>`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use noc_model::{Mesh, TileLatencies};

@@ -53,7 +53,7 @@ pub fn run(fast: bool) -> String {
 #[cfg(test)]
 mod tests {
     #[test]
-    #[ignore = "runs the cycle-level simulator; exercised by `experiments fig3sim`"]
+    #[ignore = "runs the cycle-level simulator; exercised by `obm experiments fig3sim`"]
     fn fig3sim_runs() {
         let out = super::run(true);
         assert!(out.contains("measured"));

@@ -4,12 +4,12 @@
 //! per kilocycle per tile) sit far below saturation, which is why `td_q`
 //! stays in the 0–1 cycle band and the analytic model is valid.
 
-use crate::pool;
 use crate::table::{f, MarkdownTable};
 use noc_model::Mesh;
 use noc_sim::config::RoutingKind;
 use noc_sim::telemetry::{Phase, RingSink};
 use noc_sim::{InjectionProcess, Network, RunHooks, Schedule, SimConfig, TrafficSpec};
+use obm_core::pool::run_indexed;
 
 fn uniform_traffic(mesh: &Mesh, cache_per_kcycle: f64) -> TrafficSpec {
     TrafficSpec::uniform(
@@ -56,14 +56,10 @@ fn run_point(
     (report, peak_window_buffered, p99)
 }
 
-/// Sweeps default to geometric injection: the points are latency
-/// *statistics* at an offered load, not seeded replays, so the fast path's
-/// different RNG stream is free speedup.
-pub fn run(fast: bool) -> String {
-    run_with(fast, InjectionProcess::Geometric)
-}
-
-pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
+/// The sweep under `injection`. Callers default to geometric injection:
+/// the points are latency *statistics* at an offered load, not seeded
+/// replays, so the fast path's different RNG stream is free speedup.
+pub fn run(fast: bool, injection: InjectionProcess) -> String {
     let cycles: u64 = if fast { 10_000 } else { 40_000 };
     let rates: &[f64] = if fast {
         &[4.0, 16.0, 48.0]
@@ -85,7 +81,7 @@ pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
     // across the shared pool; slot-ordered results keep the row order
     // identical to the serial version. The XY/YX ablation runs ride along
     // as the last two grid items.
-    let mut reports = pool::run_indexed(rates.len() + 2, |i| {
+    let mut reports = run_indexed(crate::effective_workers(), rates.len() + 2, |i| {
         if i < rates.len() {
             run_point(rates[i], RoutingKind::Xy, cycles, injection)
         } else if i == rates.len() {
@@ -123,9 +119,9 @@ pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
 #[cfg(test)]
 mod tests {
     #[test]
-    #[ignore = "runs the cycle-level simulator; exercised by `experiments loadcurve`"]
+    #[ignore = "runs the cycle-level simulator; exercised by `obm experiments loadcurve`"]
     fn loadcurve_runs() {
-        let out = super::run(true);
+        let out = super::run(true, super::InjectionProcess::Geometric);
         assert!(out.contains("Load curve"));
     }
 }

@@ -1,5 +1,5 @@
 //! One module per table/figure of the paper. Each `run()` returns the
-//! formatted output block; the `experiments` binary dispatches on the
+//! formatted output block; `obm experiments <id>...` dispatches on the
 //! experiment id and prints it.
 
 pub mod ablation;
@@ -96,7 +96,7 @@ fn dispatch(
         "fig12" => fig12::run(fast),
         "validate" => validate::run(fast, injection, metrics),
         "ablation" => ablation::run(),
-        "loadcurve" => loadcurve::run_with(fast, injection),
+        "loadcurve" => loadcurve::run(fast, injection),
         "scaling" => scaling::run(fast),
         "weighted" => weighted::run(),
         "torus" => torus::run(),
@@ -106,7 +106,7 @@ fn dispatch(
         "fig3sim" => fig3sim::run(fast),
         "oversub" => oversub::run(),
         "nocparams" => nocparams::run(fast),
-        "tails" => tails::run_with(fast, injection),
+        "tails" => tails::run(fast, injection),
         "placement" => placement::run(fast),
         _ => return None,
     })

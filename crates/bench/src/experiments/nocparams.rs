@@ -3,10 +3,10 @@
 //! Sweeps virtual channels per class and input-buffer depth at C1-scale
 //! uniform load on the cycle-level simulator.
 
-use crate::pool;
 use crate::table::{f, MarkdownTable};
 use noc_model::Mesh;
 use noc_sim::{Network, Schedule, SimConfig, TrafficSpec};
+use obm_core::pool::run_indexed;
 
 fn run_point(vcs: usize, depth: usize, cycles: u64) -> noc_sim::SimReport {
     let mesh = Mesh::square(8);
@@ -52,7 +52,7 @@ pub fn run(fast: bool) -> String {
     // Independent seeded sims, work-stolen across the shared pool;
     // slot-ordered results keep the table rows matching the serial
     // version.
-    let reports = pool::run_indexed(points.len(), |i| {
+    let reports = run_indexed(crate::effective_workers(), points.len(), |i| {
         let (vcs, depth) = points[i];
         run_point(vcs, depth, cycles)
     });
@@ -78,7 +78,7 @@ pub fn run(fast: bool) -> String {
 #[cfg(test)]
 mod tests {
     #[test]
-    #[ignore = "runs the cycle-level simulator; exercised by `experiments nocparams`"]
+    #[ignore = "runs the cycle-level simulator; exercised by `obm experiments nocparams`"]
     fn nocparams_runs() {
         let out = super::run(true);
         assert!(out.contains("NoC parameter"));

@@ -69,7 +69,7 @@ pub fn run(fast: bool) -> String {
 #[cfg(test)]
 mod tests {
     #[test]
-    #[ignore = "runs the cycle-level simulator; exercised by `experiments queueing`"]
+    #[ignore = "runs the cycle-level simulator; exercised by `obm experiments queueing`"]
     fn queueing_runs() {
         let out = super::run(true);
         assert!(out.contains("Queueing"));

@@ -10,20 +10,15 @@
 //! source-queuing, in-network and serialization cycles (DESIGN.md §12).
 
 use crate::harness::paper_instance;
-use crate::pool;
 use crate::sim_bridge::simulate_mapping_observed;
 use crate::table::{f, MarkdownTable};
 use noc_sim::InjectionProcess;
 use obm_core::algorithms::{Global, Mapper, SortSelectSwap};
 use workload::PaperConfig;
 
-/// Sweeps default to geometric injection (percentiles are distribution
-/// statistics, not seeded replays).
-pub fn run(fast: bool) -> String {
-    run_with(fast, InjectionProcess::Geometric)
-}
-
-pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
+/// The study under `injection`. Callers default to geometric injection
+/// (percentiles are distribution statistics, not seeded replays).
+pub fn run(fast: bool, injection: InjectionProcess) -> String {
     let cycles = if fast { 40_000 } else { 150_000 };
     let pi = paper_instance(PaperConfig::C1);
     let mut t = MarkdownTable::new(vec![
@@ -34,7 +29,7 @@ pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
     let mappers: [&(dyn Mapper + Sync); 2] = [&Global, &sss];
     // Simulate the two mappings across the shared pool; slot-ordered
     // results keep the table's serial row order.
-    let runs = pool::run_indexed(mappers.len(), |i| {
+    let runs = obm_core::pool::run_indexed(crate::effective_workers(), mappers.len(), |i| {
         let mapping = mappers[i].map(&pi.instance, 0);
         simulate_mapping_observed(&pi, &mapping, cycles, 3, injection)
     });
@@ -78,9 +73,9 @@ pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
 #[cfg(test)]
 mod tests {
     #[test]
-    #[ignore = "runs the cycle-level simulator; exercised by `experiments tails`"]
+    #[ignore = "runs the cycle-level simulator; exercised by `obm experiments tails`"]
     fn tails_runs() {
-        let out = super::run(true);
+        let out = super::run(true, super::InjectionProcess::Geometric);
         assert!(out.contains("Tail latency"));
         assert!(out.contains("p99"));
     }

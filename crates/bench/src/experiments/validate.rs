@@ -5,7 +5,6 @@
 //! cycle band.
 
 use crate::harness::{all_paper_instances, paper_instance};
-use crate::pool;
 use crate::sim_bridge::simulate_mapping_with;
 use crate::table::{f, MarkdownTable};
 use noc_metrics::{MetricsHandle, MetricsRegistry};
@@ -61,7 +60,7 @@ pub fn run(fast: bool, injection: InjectionProcess, metrics: &MetricsHandle) -> 
     // simulation are all per-instance), work-stolen across the shared
     // pool; results come back in item order, keeping the table rows in
     // the serial order.
-    let results = pool::run_indexed(instances.len(), |i| {
+    let results = obm_core::pool::run_indexed(crate::effective_workers(), instances.len(), |i| {
         let pi = &instances[i];
         let mapping = SortSelectSwap::default().map(&pi.instance, 0);
         let analytic = evaluate(&pi.instance, &mapping);
@@ -168,8 +167,11 @@ pub fn run(fast: bool, injection: InjectionProcess, metrics: &MetricsHandle) -> 
         "validate_evals_per_sec",
         total_evals as f64 * 1e9 / total_eval_nanos.max(1) as f64,
     );
-    metrics.gauge_set("pool_effective_workers", pool::effective_workers() as f64);
-    metrics.gauge_set("pool_detected_cores", pool::detected_cores() as f64);
+    metrics.gauge_set("pool_effective_workers", crate::effective_workers() as f64);
+    metrics.gauge_set(
+        "pool_detected_cores",
+        obm_core::pool::detected_cores() as f64,
+    );
     let gauge = |name: &str| metrics.gauge_value(name).unwrap_or(0.0);
     let agg_cps = gauge("validate_sim_cycles_per_sec");
     let agg_fps = gauge("validate_sim_flit_hops_per_sec");
@@ -197,7 +199,7 @@ pub fn run(fast: bool, injection: InjectionProcess, metrics: &MetricsHandle) -> 
 #[cfg(test)]
 mod tests {
     #[test]
-    #[ignore = "runs the cycle-level simulator; exercised by `experiments validate`"]
+    #[ignore = "runs the cycle-level simulator; exercised by `obm experiments validate`"]
     fn validate_runs() {
         let out = super::run(
             true,

@@ -3,10 +3,9 @@
 //! let each experiment format its own view of the results.
 //!
 //! The per-configuration runs are independent, so they are work-stolen
-//! across the shared sweep pool ([`crate::pool`]).
+//! across the shared worker pool ([`obm_core::pool`]).
 
 use crate::harness::{paper_instance, sa_matching_sss, standard_mappers, PaperInstance};
-use crate::pool;
 use noc_model::Mesh;
 use noc_power::{analytic_power, PlacedLoad, PowerParams};
 use obm_core::{evaluate, AplReport, Mapping};
@@ -94,9 +93,10 @@ fn run_config(cfg: PaperConfig, seed: u64) -> ConfigResults {
 /// Run the full sweep (work-stolen across the shared pool, one grid item
 /// per configuration).
 pub fn run_lineup(seed: u64) -> Lineup {
-    let configs = pool::run_indexed(PaperConfig::ALL.len(), |i| {
-        run_config(PaperConfig::ALL[i], seed)
-    });
+    let configs =
+        obm_core::pool::run_indexed(crate::effective_workers(), PaperConfig::ALL.len(), |i| {
+            run_config(PaperConfig::ALL[i], seed)
+        });
     Lineup { configs }
 }
 

@@ -11,8 +11,9 @@
 //!                                                 (--chrome: Chrome-trace JSON)
 //! obm experiments heatmap <spec> [--algo sss] [--cycles N] [--seed S]
 //!                        [--json] [--out FILE]    spatial link/VC/stall heatmap
-//! obm experiments loadcurve|validate|tails [--fast]
-//!                 [--injection bernoulli|geometric]     simulator sweeps
+//! obm experiments <id>...|all|list [--fast] [--out DIR]
+//!                 [--injection bernoulli|geometric]     the paper's tables,
+//!                                                 figures and sweeps
 //! obm exact <spec> [--budget NODES]              prove the optimum (small chips)
 //! obm solve <spec> [--portfolio | --algos sss,sa,...] [--seeds 0,1,2,3]
 //!                  [--deadline-ms N] [--max-evals N] [--workers N]
@@ -50,8 +51,10 @@ USAGE:
   obm experiments trace <spec-file> [--algo NAME] [--cycles N] [--seed S] [--window W]
                   [--chrome] [--out FILE]
   obm experiments heatmap <spec-file> [--algo NAME] [--cycles N] [--seed S] [--json] [--out FILE]
-  obm experiments loadcurve|validate|tails|placement [--fast]
-                  [--injection bernoulli|geometric]
+  obm experiments <id>...|all [--fast] [--out DIR] [--injection bernoulli|geometric]
+                  regenerate the paper's tables/figures and the extension
+                  studies (--out DIR also writes DIR/<id>.md)
+  obm experiments list                          list the experiment ids
   obm exact <spec-file> [--budget NODES]
   obm solve <spec-file> [--portfolio | --algos sss,sa,hybrid,greedy,mc,exact] [--seeds 0,1,2,3]
             [--deadline-ms N] [--max-evals N] [--workers N] [--aggressive]
@@ -77,6 +80,18 @@ Metrics export (simulate, solve, place, experiments *):
 The spec format is documented in the repository README and crates/cli/src/spec.rs."
 }
 
+/// Flags that never take a value, so a positional may follow them
+/// (`obm experiments --fast table1`).
+const SWITCHES: &[&str] = &[
+    "fast",
+    "grid",
+    "portfolio",
+    "aggressive",
+    "exhaustive",
+    "json",
+    "chrome",
+];
+
 /// Minimal flag extraction: returns (positional, flag-lookup).
 struct Args {
     positional: Vec<String>,
@@ -90,7 +105,8 @@ impl Args {
         let mut it = raw.into_iter().peekable();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                let value = if it.peek().is_some_and(|v| !v.starts_with("--")) {
+                let takes_value = !SWITCHES.contains(&name);
+                let value = if takes_value && it.peek().is_some_and(|v| !v.starts_with("--")) {
                     it.next()
                 } else {
                     None
@@ -270,30 +286,10 @@ fn run_command(
         }
         "experiments" => {
             let sub = args.positional.first().ok_or(
-                "experiments needs a subcommand (trace|heatmap|loadcurve|validate|tails|placement)",
+                "experiments needs an id, all, list, trace or heatmap (try `obm experiments list`)",
             )?;
-            // The simulator sweeps from the bench harness: latency
-            // statistics at offered loads, so they default to the
-            // geometric fast path; `--injection bernoulli` restores the
-            // per-cycle process for apples-to-apples comparisons.
-            if matches!(
-                sub.as_str(),
-                "loadcurve" | "validate" | "tails" | "placement"
-            ) {
-                let fast = args.flag("fast").is_some();
-                let injection = args.parse_flag::<noc_sim::InjectionProcess>(
-                    "injection",
-                    noc_sim::InjectionProcess::Geometric,
-                )?;
-                return obm_bench::experiments::run(sub, fast, injection, metrics)
-                    .map(|out| out.trim_end().to_string())
-                    .ok_or_else(|| format!("experiment '{sub}' unavailable"));
-            }
             if !matches!(sub.as_str(), "trace" | "heatmap") {
-                return Err(format!(
-                    "unknown experiments subcommand '{sub}' \
-                     (try trace, heatmap, loadcurve, validate, tails or placement)"
-                ));
+                return experiments(args, metrics);
             }
             let spec = read(
                 args.positional
@@ -397,8 +393,48 @@ fn run_command(
     }
 }
 
+/// `obm experiments <id>...|all|list`: run the harness's experiments in
+/// order, printing each block as it finishes (and, with `--out DIR`,
+/// writing it to `DIR/<id>.md`). Every id is checked before the first
+/// one runs. Returns the empty string: the blocks are already printed.
+fn experiments(args: &Args, metrics: &noc_metrics::MetricsHandle) -> Result<String, String> {
+    use obm_bench::experiments::{run, ALL};
+    let ids: Vec<&str> = args.positional.iter().map(String::as_str).collect();
+    if ids == ["list"] {
+        return Ok(ALL.join("\n"));
+    }
+    let ids = if ids == ["all"] { ALL.to_vec() } else { ids };
+    if let Some(id) = ids.iter().find(|id| !ALL.contains(id)) {
+        return Err(format!(
+            "unknown experiment '{id}' (try `obm experiments list`)"
+        ));
+    }
+    let fast = args.flag("fast").is_some();
+    // The simulator sweeps are latency statistics at offered loads, so
+    // they default to the geometric fast path; `--injection bernoulli`
+    // restores the per-cycle process for apples-to-apples comparisons.
+    let injection = args.parse_flag("injection", noc_sim::InjectionProcess::Geometric)?;
+    let out_dir = args.value_flag("out")?;
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create --out directory {dir}: {e}"))?;
+    }
+    for id in ids {
+        let block = run(id, fast, injection, metrics)
+            .ok_or_else(|| format!("unknown experiment '{id}'"))?;
+        println!("{block}");
+        if let Some(dir) = out_dir {
+            let path = format!("{dir}/{id}.md");
+            std::fs::write(&path, &block).map_err(|e| format!("cannot write {path}: {e}"))?;
+        }
+    }
+    Ok(String::new())
+}
+
 fn main() -> ExitCode {
     match run() {
+        // Commands that stream their output return nothing left to print.
+        Ok(out) if out.is_empty() => ExitCode::SUCCESS,
         Ok(out) => {
             println!("{out}");
             ExitCode::SUCCESS

@@ -266,14 +266,6 @@ impl MetricsHandle {
         self.0.is_some()
     }
 
-    /// Whether wall-clock timing is live: enabled *and* under
-    /// [`ClockMode::Wall`]. Hot loops use this to skip `Instant` reads
-    /// entirely when durations would be discarded anyway.
-    #[inline]
-    pub fn timing(&self) -> bool {
-        matches!(&self.0, Some(r) if r.inner.clock == ClockMode::Wall)
-    }
-
     /// The registry behind this handle, if enabled.
     pub fn registry(&self) -> Option<&MetricsRegistry> {
         self.0.as_ref()
@@ -621,7 +613,6 @@ mod tests {
     fn disabled_handle_is_inert() {
         let h = MetricsHandle::disabled();
         assert!(!h.enabled());
-        assert!(!h.timing());
         h.counter("c").inc();
         h.gauge("g").set(1.0);
         h.inc("c");
@@ -688,7 +679,6 @@ mod tests {
         let reg = MetricsRegistry::with_clock(ClockMode::Logical);
         let h = reg.handle();
         assert!(h.enabled());
-        assert!(!h.timing());
         drop(h.span("work"));
         h.record_span("bulk", 7, 1234, 99);
         h.wall_gauge_set("rate", 123.0);

@@ -32,10 +32,7 @@ impl RandomMapper {
     ///
     /// [`BatchEvaluator::eval_many_parallel`]: crate::batch::BatchEvaluator::eval_many_parallel
     pub fn averages(inst: &ObmInstance, samples: usize, seed: u64) -> RandomAverages {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        RandomMapper::averages_with_workers(inst, samples, seed, workers)
+        RandomMapper::averages_with_workers(inst, samples, seed, crate::pool::detected_cores())
     }
 
     /// [`averages`](Self::averages) with an explicit worker count

@@ -112,37 +112,26 @@ impl Mapper for SimulatedAnnealing {
             panic!("SimulatedAnnealing::map: {e}");
         }
         if self.restarts > 1 {
-            // Restarts run on crossbeam scope threads, and `&mut dyn Probe`
-            // cannot be shared across them (no Sync bound, and interleaved
-            // events from concurrent restarts would be meaningless anyway),
-            // so the parallel path emits no solver events. Probe a
-            // single-restart configuration to trace the annealing schedule.
-            // Parallel independent restarts with disjoint seed streams; the
-            // token is shared, so one deadline stops every restart. A
-            // cancelled restart poisons the whole run (all-or-nothing keeps
-            // the result independent of which restart was interrupted).
-            let results = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.restarts)
-                    .map(|r| {
-                        let cfg = SimulatedAnnealing {
-                            restarts: 1,
-                            ..*self
-                        };
-                        let rseed =
-                            seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r as u64 + 1));
-                        scope.spawn(move |_| {
-                            let m = cfg.map_cancellable(inst, rseed, token, &mut NoopSink)?;
-                            let v = crate::eval::evaluate(inst, &m).max_apl;
-                            Some((v, m))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("SA restart panicked"))
-                    .collect::<Vec<_>>()
-            })
-            .expect("crossbeam scope");
+            // Restarts run on the shared pool, one worker per restart, and
+            // `&mut dyn Probe` cannot be shared across them (no Sync bound,
+            // and interleaved events from concurrent restarts would be
+            // meaningless anyway), so the parallel path emits no solver
+            // events. Probe a single-restart configuration to trace the
+            // annealing schedule. Parallel independent restarts with
+            // disjoint seed streams; the token is shared, so one deadline
+            // stops every restart. A cancelled restart poisons the whole
+            // run (all-or-nothing keeps the result independent of which
+            // restart was interrupted).
+            let cfg = SimulatedAnnealing {
+                restarts: 1,
+                ..*self
+            };
+            let results = crate::pool::run_indexed(self.restarts, self.restarts, |r| {
+                let rseed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r as u64 + 1));
+                let m = cfg.map_cancellable(inst, rseed, token, &mut NoopSink)?;
+                let v = crate::eval::evaluate(inst, &m).max_apl;
+                Some((v, m))
+            });
             let mut best: Option<(f64, Mapping)> = None;
             for r in results {
                 let (v, m) = r?;

@@ -32,7 +32,10 @@
 //!   re-solve, deterministic mid-run mapping swap out (DESIGN.md §14);
 //! * [`placement`] — placement co-optimization: an outer deterministic
 //!   search over memory-controller [`ChipLayout`](noc_model::ChipLayout)s
-//!   with the OBM solver in the inner loop (DESIGN.md §15).
+//!   with the OBM solver in the inner loop (DESIGN.md §15);
+//! * [`pool`] — [`pool::run_indexed`], the one indexed worker pool every
+//!   parallel fan-out (batched evaluation, MC, SA restarts, the portfolio
+//!   race, the bench sweeps) runs on.
 //!
 //! Every [`Mapper`] also has one instrumented entry point,
 //! [`Mapper::map_cancellable`], that streams solver telemetry
@@ -71,6 +74,7 @@ pub mod eval;
 pub mod objective;
 pub mod oversub;
 pub mod placement;
+pub mod pool;
 pub mod problem;
 pub mod reduction;
 pub mod refine;

@@ -299,7 +299,7 @@ impl<'a> SolveRequest<'a> {
 }
 
 fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
+    obm_core::pool::detected_cores().min(8)
 }
 
 /// Builder for [`SolveRequest`] (the PR 2 builder-validation convention:
